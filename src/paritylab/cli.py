@@ -25,8 +25,8 @@ from .fitting import (FitRankError, curve_sup_distance, delta_slope_at_unity,
 from .chains import ChainSpec, alternating_block, place_pattern
 from .scattering import exterior_matching, near_zero_modes, phase_shift
 from .spectral import DegenerateFermiLevelError
-from .sweeps import (boundary_sweep, bulk_sweep, dot_series, size_ladder,
-                     splitting_table)
+from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
+                     ladder_region, pair_specs, size_ladder, splitting_table)
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
                      tabulated_entropy_integral, tabulated_fluct_integral,
@@ -176,6 +176,20 @@ def _check_ratios(config) -> list[float]:
     return ratios
 
 
+def _check_pairs(kind: str, sizes, region_len, boundary: str = "open",
+                 n_imp: int = 1) -> None:
+    """Config error unless every size places its even/odd pair.
+
+    region_len maps a size to its even subsystem length.  Only the chains
+    are built, so a bad geometry is reported before any solve.
+    """
+    for n_sites in sizes:
+        try:
+            pair_specs(kind, 1.0, n_sites, region_len(n_sites), boundary, n_imp)
+        except ValueError as exc:
+            raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
+
+
 def _value_columns(kind: str) -> list[str]:
     if kind not in ("entropy", "fluctuation", "both"):
         raise ConfigError(f"kind must be entropy, fluctuation or both, got {kind!r}")
@@ -193,6 +207,7 @@ def _run_impurity_sweep(config) -> tuple[list[str], list[tuple]]:
         raise ConfigError(f"boundary must be open or periodic, got {boundary!r}")
     if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
         raise ConfigError("periodic sizes must be 2 mod 4")
+    _check_pairs("single", sizes, lambda n: ladder_region(n, aspect_den), boundary)
     value_cols = _value_columns(config["kind"])
     parallelism = _number(int, config, "parallelism")
 
@@ -223,10 +238,12 @@ def _run_ssh_collapse(config) -> tuple[list[str], list[tuple]]:
     if not n_imps or any(n < 1 or n % 2 == 0 for n in n_imps):
         raise ConfigError("n_imps must be odd positive integers")
     parallelism = _number(int, config, "parallelism")
+    blocks = [("single" if n_imp == 1 else "alternating", n_imp) for n_imp in n_imps]
+    for kind, n_imp in blocks:
+        _check_pairs(kind, sizes, lambda n: aspect_region(n, 1, aspect_den), n_imp=n_imp)
 
     rows = []
-    for n_imp in n_imps:
-        kind = "single" if n_imp == 1 else "alternating"
+    for kind, n_imp in blocks:
         try:
             table = splitting_table(kind, ratios, sizes, 1, aspect_den,
                                     n_imp=n_imp, parallelism=parallelism)
@@ -290,6 +307,9 @@ def _run_slope_at_unity(config) -> tuple[list[str], list[tuple]]:
         raise ConfigError("first and last fit windows must differ")
     aspect_num = _number(int, config, "aspect_num")
     aspect_den = _number(int, config, "aspect_den")
+    if aspect_num < 1 or aspect_den < 1:
+        raise ConfigError(f"aspect must be positive, got {aspect_num}/{aspect_den}")
+    _check_pairs("single", sizes, lambda n: aspect_region(n, aspect_num, aspect_den))
     parallelism = _number(int, config, "parallelism")
     kinds = _value_columns(config["kind"])
 

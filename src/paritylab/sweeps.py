@@ -59,6 +59,37 @@ def border_pattern(kind: str, ratio: float, region_len: int, n_imp: int = 1):
     raise ValueError(f"kind must be one of {PATTERN_KINDS}, got {kind!r}")
 
 
+def pair_specs(kind: str, ratio: float, n_sites: int, region_len: int,
+               boundary: str = "open", n_imp: int = 1) -> tuple[ChainSpec, ChainSpec]:
+    """Even/odd chains of one geometry, built without solving anything.
+
+    The even chain carries the pattern at the border of region_len sites,
+    the odd one the same pattern moved one bond to the right.  Raises
+    ``ValueError`` if region_len is odd, or if either region or either
+    pattern does not fit on the chain.
+    """
+    if not 0 < region_len < n_sites:
+        raise ValueError(f"regions of {region_len} and {region_len + 1} sites "
+                         f"do not fit on {n_sites} sites")
+    pattern = border_pattern(kind, ratio, region_len, n_imp)
+    return parity_pair(place_pattern(pattern, n_sites, boundary), region_len)
+
+
+def ladder_region(n_sites: int, aspect_den: int) -> int:
+    """Even subsystem length nearest n_sites / aspect_den."""
+    return 2 * round(n_sites / (2 * aspect_den))
+
+
+def aspect_region(n_sites: int, aspect_num: int, aspect_den: int) -> int:
+    """Subsystem length aspect_num * n_sites / aspect_den, which must be an
+    even integer (``ValueError`` otherwise)."""
+    ell2 = aspect_num * n_sites
+    if ell2 % (2 * aspect_den) != 0:
+        raise ValueError(
+            f"size {n_sites} gives no even subsystem at aspect {aspect_num}/{aspect_den}")
+    return ell2 // aspect_den
+
+
 def pair_samples(kind: str, ratio: float, n_sites: int, region_len: int,
                  boundary: str = "open", n_imp: int = 1) -> tuple[ScalingSample, ScalingSample]:
     """Measure the even/odd pair for one geometry.
@@ -67,9 +98,7 @@ def pair_samples(kind: str, ratio: float, n_sites: int, region_len: int,
     sites with the whole pattern moved one bond to the right, on a chain
     of the same size.
     """
-    pattern = border_pattern(kind, ratio, region_len, n_imp)
-    base = place_pattern(pattern, n_sites, boundary)
-    even_spec, odd_spec = parity_pair(base, region_len)
+    even_spec, odd_spec = pair_specs(kind, ratio, n_sites, region_len, boundary, n_imp)
     out = []
     for parity, spec, ell in (("even", even_spec, region_len),
                               ("odd", odd_spec, region_len + 1)):
@@ -107,10 +136,8 @@ def boundary_sweep(kind: str, ratio: float, sizes: Sequence[int], aspect_den: in
     The even subsystem takes the nearest even integer to n_sites/aspect_den.
     Results come back sorted by (n_sites, parity).
     """
-    tasks = []
-    for n_sites in sizes:
-        ell = 2 * round(n_sites / (2 * aspect_den))
-        tasks.append((kind, ratio, n_sites, ell, "open", n_imp))
+    tasks = [(kind, ratio, n_sites, ladder_region(n_sites, aspect_den), "open", n_imp)
+             for n_sites in sizes]
     pairs = _run(pair_samples, tasks, parallelism)
     return [s for pair in pairs for s in pair]
 
@@ -125,8 +152,8 @@ def bulk_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
     for n_sites in sizes:
         if n_sites % 4 != 2:
             raise ValueError(f"ring size must be 2 mod 4, got {n_sites}")
-        ell = 2 * round(n_sites / (2 * aspect_den))
-        tasks.append(("single", ratio, n_sites, ell, "periodic", 1))
+        tasks.append(("single", ratio, n_sites, ladder_region(n_sites, aspect_den),
+                      "periodic", 1))
     pairs = _run(pair_samples, tasks, parallelism)
     return [s for pair in pairs for s in pair]
 
@@ -150,13 +177,8 @@ def splitting_table(kind: str, ratios: Sequence[float], sizes: Sequence[int],
     keys = []
     for ratio in ratios:
         for n_sites in sizes:
-            ell2 = aspect_num * n_sites
-            if ell2 % (2 * aspect_den) != 0:
-                raise ValueError(
-                    f"size {n_sites} gives no even subsystem at aspect "
-                    f"{aspect_num}/{aspect_den}"
-                )
-            tasks.append((kind, ratio, n_sites, ell2 // aspect_den, n_imp))
+            tasks.append((kind, ratio, n_sites,
+                          aspect_region(n_sites, aspect_num, aspect_den), n_imp))
             keys.append((ratio, n_sites))
     values = _run(delta_pair, tasks, parallelism)
     return dict(zip(keys, values))
@@ -167,8 +189,9 @@ def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
     """Half-chain observables around a centered weak dot, by parity.
 
     The even member is (n_sites, ell = n_sites/2) with the dot bonds at
-    (ell, ell + 1); the odd member enlarges chain and subsystem by one
-    site each, keeping the geometry of the cut.  Both members of a pair
+    (ell, ell + 1); the odd member adds one site on each side of the cut
+    (n_sites + 2 sites, ell + 1 in the subsystem), keeping the geometry of
+    the cut.  Only these two chains are solved.  Both members of a pair
     share the node ln(n_sites + 1).
 
     Returns
@@ -180,22 +203,21 @@ def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
     for n_sites in sizes:
         if n_sites % 4 != 0:
             raise ValueError(f"dot series needs sizes 0 mod 4, got {n_sites}")
-        ell = n_sites // 2
-        tasks.append(("dot", ratio, n_sites, ell, "open", 1))
+        tasks.append((ratio, n_sites, n_sites // 2))
     pairs = _run(_pair_for_dot, tasks, parallelism)
     nodes = np.log(np.asarray(sizes, dtype=float) + 1.0)
-    se = np.array([p[0].entropy for p in pairs])
-    so = np.array([p[1].entropy for p in pairs])
-    fe = np.array([p[0].fluctuation for p in pairs])
-    fo = np.array([p[1].fluctuation for p in pairs])
+    se = np.array([even[0] for even, _ in pairs])
+    so = np.array([odd[0] for _, odd in pairs])
+    fe = np.array([even[1] for even, _ in pairs])
+    fo = np.array([odd[1] for _, odd in pairs])
     return nodes, se, so, fe, fo
 
 
-def _pair_for_dot(kind, ratio, n_sites, ell, boundary, n_imp):
+def _pair_for_dot(ratio, n_sites, ell):
     # odd member of a dot pair lives on a chain two sites longer
-    even, _ = pair_samples(kind, ratio, n_sites, ell, boundary, n_imp)
-    _, odd = pair_samples(kind, ratio, n_sites + 2, ell, boundary, n_imp)
-    return even, odd
+    even, _ = pair_specs("dot", ratio, n_sites, ell)
+    _, odd = pair_specs("dot", ratio, n_sites + 2, ell)
+    return measure(even, ell), measure(odd, ell + 1)
 
 
 def resolve_parallelism(parallelism: int) -> int:

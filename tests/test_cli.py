@@ -88,6 +88,21 @@ def test_config_errors(tmp_path, capsys):
                         windows=[0.1, 0.1])
     assert cli.main(["run", cfg]) == 2
 
+    # region geometries that place no even/odd pair are config errors
+    for name, config in (
+            ("ladder", dict(scenario="impurity-sweep", ratios=[0.8],
+                            sizes={"lo": 10, "hi": 30, "step": 2})),
+            ("ring", dict(scenario="impurity-sweep", boundary="periodic",
+                          ratios=[0.8], sizes=[6, 10])),
+            ("ssh", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[402, 802])),
+            ("aspect", dict(scenario="slope-at-unity", aspect_num=3, aspect_den=2))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        assert "n_sites=" in capsys.readouterr().err, name
+        assert not (tmp_path / f"{name}.csv").exists(), name
+    cfg = _write_config(tmp_path / "a0.json", scenario="slope-at-unity", aspect_den=0)
+    assert cli.main(["run", cfg]) == 2
+
 
 def test_impurity_sweep_is_deterministic(tmp_path, capsys):
     common = dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40, 60],

@@ -9,7 +9,7 @@ from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
-                                diagonalize, half_filling, occupy)
+                                diagonalize, half_filling, mirror_axis, occupy)
 from paritylab.sweeps import measure
 
 
@@ -59,55 +59,92 @@ def test_occupy_rejects_degenerate_fermi_level_on_open_chain():
     occupy(data, 4)
 
 
-def _random_open_chain(rng):
-    n = int(rng.choice([12, 40, 150, 400, 1000]))
+def _random_pattern(rng, n_bonds):
     ratio = float(np.exp(rng.uniform(np.log(0.2), np.log(4.0))))
     kind = int(rng.integers(3))
     if kind == 0:
-        pattern = single_impurity(ratio, int(rng.integers(1, n)))
-    elif kind == 1:
-        pattern = dot_impurity(ratio, int(rng.integers(1, n - 1)))
-    else:
-        n_imp = int(rng.integers(1, 6))
-        pattern = alternating_block(ratio, int(rng.integers(1, n - 2 * n_imp + 2)), n_imp)
-    return place_pattern(pattern, n)
+        return single_impurity(ratio, int(rng.integers(1, n_bonds + 1)))
+    if kind == 1:
+        return dot_impurity(ratio, int(rng.integers(1, n_bonds)))
+    n_imp = int(rng.integers(1, 6))
+    return alternating_block(ratio, int(rng.integers(1, n_bonds - 2 * n_imp + 3)), n_imp)
+
+
+def _random_open_chain(rng):
+    n = int(rng.choice([12, 40, 150, 400, 1000]))
+    return place_pattern(_random_pattern(rng, n - 1), n)
+
+
+def _random_rings(rng):
+    """Mirror-symmetric rings of 2 mod 4 sites, patterns anywhere, the wrap
+    bond n included, and one ring with no mirror axis."""
+    rings = []
+    for _ in range(16):
+        n = int(rng.choice([14, 42, 150, 402, 1002]))
+        rings.append(place_pattern(_random_pattern(rng, n), n, "periodic"))
+    for n in (42, 402):
+        ratio = float(np.exp(rng.uniform(np.log(0.2), np.log(4.0))))
+        for pattern in (single_impurity(ratio, n), dot_impurity(ratio, n - 1),
+                        alternating_block(ratio, n - 4, 3)):
+            rings.append(place_pattern(pattern, n, "periodic"))
+    rings.append(ChainSpec(150, "periodic", ((7, 0.5), (150, 0.5), (40, 1.7))))
+    return rings
+
+
+def _check_against_dense(spec, rng):
+    n = spec.n_sites
+    energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+    fast = diagonalize(spec)
+    assert np.abs(fast.energies - energies).max() <= 1e-9
+    # slopes from near-equal pairs amplify any loss of orthogonality
+    assert np.abs(fast.orbitals.T @ fast.orbitals - np.eye(n)).max() <= 5e-14
+    if n % 2:
+        return
+    filling = half_filling(spec)
+    filled = orbitals[:, :filling]
+    g_dense = filled @ filled.T
+    first = int(rng.integers(1, n))
+    regions = [Region(1, int(rng.integers(1, n + 1))),
+               Region(first, int(rng.integers(1, n - first + 2)))]
+    for region in regions:
+        ref = region_observables(g_dense, region)
+        obs = region_observables(correlation_matrix(fast, filling), region)
+        assert obs.entropy == pytest.approx(ref.entropy, abs=1e-9)
+        assert obs.fluctuation == pytest.approx(ref.fluctuation, abs=1e-9)
+    ref = region_observables(g_dense, regions[0])
+    s, f = measure(spec, regions[0].length)
+    assert s == pytest.approx(ref.entropy, abs=1e-9)
+    assert f == pytest.approx(ref.fluctuation, abs=1e-9)
 
 
 def test_open_chain_route_matches_dense_oracle():
     rng = np.random.default_rng(1981)
     for _ in range(24):
-        spec = _random_open_chain(rng)
-        n, filling = spec.n_sites, half_filling(spec)
-        energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
-        fast = diagonalize(spec)
-        assert np.abs(fast.energies - energies).max() <= 1e-9
-        # slopes from near-equal pairs amplify any loss of orthogonality
-        assert np.abs(fast.orbitals.T @ fast.orbitals - np.eye(n)).max() <= 5e-14
-        filled = orbitals[:, :filling]
-        g_dense = filled @ filled.T
-        first = int(rng.integers(1, n))
-        regions = [Region(1, int(rng.integers(1, n + 1))),
-                   Region(first, int(rng.integers(1, n - first + 2)))]
-        for region in regions:
-            ref = region_observables(g_dense, region)
-            obs = region_observables(correlation_matrix(fast, filling), region)
-            assert obs.entropy == pytest.approx(ref.entropy, abs=1e-9)
-            assert obs.fluctuation == pytest.approx(ref.fluctuation, abs=1e-9)
-        ref = region_observables(g_dense, regions[0])
-        s, f = measure(spec, regions[0].length)
-        assert s == pytest.approx(ref.entropy, abs=1e-9)
-        assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+        _check_against_dense(_random_open_chain(rng), rng)
+    *symmetric, asymmetric = _random_rings(rng)
+    # odd rings have an on-axis site opposite an on-axis bond; no half filling
+    symmetric += [place_pattern(_random_pattern(rng, n), n, "periodic")
+                  for n in (9, 51, 301)]
+    assert all(mirror_axis(r.bond_ratios()) is not None for r in symmetric)
+    assert mirror_axis(asymmetric.bond_ratios()) is None
+    for spec in symmetric + [asymmetric]:
+        _check_against_dense(spec, rng)
 
 
-@pytest.mark.parametrize("boundary", ["open", "periodic"])
-def test_solver_failure_names_chain_size(boundary, monkeypatch):
+@pytest.mark.parametrize("spec", [
+    pytest.param(homogeneous(14), id="open"),
+    pytest.param(homogeneous(14, "periodic"), id="periodic"),
+    # no mirror axis: the dense route
+    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), id="asymmetric-ring"),
+])
+def test_solver_failure_names_chain_size(spec, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(spectral, "eigh_tridiagonal", fail)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="14x14 chain"):
-        diagonalize(homogeneous(14, boundary))
+        diagonalize(spec)
 
 
 def test_occupy_bounds():
