@@ -21,12 +21,13 @@ import sys
 import numpy as np
 
 from .fitting import (FitRankError, curve_sup_distance, delta_slope_at_unity,
-                      dot_crossover, extrapolate_inverse)
+                      dot_crossover, extrapolate_inverse, window_ratios)
 from .chains import ChainSpec, alternating_block, place_pattern
 from .scattering import exterior_matching, near_zero_modes, phase_shift
 from .spectral import DegenerateFermiLevelError
 from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
-                     ladder_region, pair_specs, size_ladder, splitting_table)
+                     ladder_region, pair_specs, resolve_parallelism, size_ladder,
+                     splitting_table)
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
                      tabulated_entropy_integral, tabulated_fluct_integral,
@@ -190,6 +191,13 @@ def _check_pairs(kind: str, sizes, region_len, boundary: str = "open",
             raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
 
 
+def _parallelism(config) -> int:
+    try:
+        return resolve_parallelism(_number(int, config, "parallelism"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _value_columns(kind: str) -> list[str]:
     if kind not in ("entropy", "fluctuation", "both"):
         raise ConfigError(f"kind must be entropy, fluctuation or both, got {kind!r}")
@@ -209,7 +217,7 @@ def _run_impurity_sweep(config) -> tuple[list[str], list[tuple]]:
         raise ConfigError("periodic sizes must be 2 mod 4")
     _check_pairs("single", sizes, lambda n: ladder_region(n, aspect_den), boundary)
     value_cols = _value_columns(config["kind"])
-    parallelism = _number(int, config, "parallelism")
+    parallelism = _parallelism(config)
 
     rows = []
     for ratio in ratios:
@@ -237,7 +245,7 @@ def _run_ssh_collapse(config) -> tuple[list[str], list[tuple]]:
     n_imps = _number_list(int, config, "n_imps")
     if not n_imps or any(n < 1 or n % 2 == 0 for n in n_imps):
         raise ConfigError("n_imps must be odd positive integers")
-    parallelism = _number(int, config, "parallelism")
+    parallelism = _parallelism(config)
     blocks = [("single" if n_imp == 1 else "alternating", n_imp) for n_imp in n_imps]
     for kind, n_imp in blocks:
         _check_pairs(kind, sizes, lambda n: aspect_region(n, 1, aspect_den), n_imp=n_imp)
@@ -277,7 +285,7 @@ def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[i
 
 def _run_dot_crossover(config) -> tuple[list[str], list[tuple]]:
     ratios = _check_ratios(config)
-    parallelism = _number(int, config, "parallelism")
+    parallelism = _parallelism(config)
     rows = []
     for ratio in ratios:
         sizes = _dot_ladder(ratio, _number(float, config, "x_lo"),
@@ -305,12 +313,17 @@ def _run_slope_at_unity(config) -> tuple[list[str], list[tuple]]:
         raise ConfigError("need at least two positive fit windows")
     if windows[0] == windows[-1]:
         raise ConfigError("first and last fit windows must differ")
+    for w in windows:
+        if len(window_ratios(set(ratios), w)) < 2:
+            raise ConfigError(f"fit window {w:g} holds fewer than two ratios in [{1 - w:g}, 1]")
+    if len(set(sizes)) < 2:
+        raise ConfigError("need at least two sizes to extrapolate the slopes")
     aspect_num = _number(int, config, "aspect_num")
     aspect_den = _number(int, config, "aspect_den")
     if aspect_num < 1 or aspect_den < 1:
         raise ConfigError(f"aspect must be positive, got {aspect_num}/{aspect_den}")
     _check_pairs("single", sizes, lambda n: aspect_region(n, aspect_num, aspect_den))
-    parallelism = _number(int, config, "parallelism")
+    parallelism = _parallelism(config)
     kinds = _value_columns(config["kind"])
 
     try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -268,6 +268,11 @@ def power_law_exponent(x: Sequence[float], y: Sequence[float]) -> float:
     return slope
 
 
+def window_ratios(ratios: Iterable[float], eps: float) -> list[float]:
+    """Sorted ratios inside the fit window [1 - eps, 1] (1e-12 slack below)."""
+    return sorted(lam for lam in ratios if 1.0 - eps - 1e-12 <= lam <= 1.0)
+
+
 def delta_slope_at_unity(deltas: dict[tuple[float, int], float],
                          windows: Sequence[float]) -> list[tuple[float, float]]:
     """Slope of the parity splitting in the defect ratio, near ratio 1.
@@ -293,7 +298,7 @@ def delta_slope_at_unity(deltas: dict[tuple[float, int], float],
         per_size = []
         kept_sizes = []
         for L in sizes:
-            lams = sorted(lam for lam, Ls in deltas if Ls == L and 1.0 - eps - 1e-12 <= lam <= 1.0)
+            lams = window_ratios([lam for lam, Ls in deltas if Ls == L], eps)
             if len(lams) < 2:
                 continue
             x = [lam - 1.0 for lam in lams]

@@ -1,18 +1,21 @@
 """Brute-force many-body oracle on small chains.
 
-Builds the fixed-number Fock sector explicitly, finds the many-body
-ground state, and evaluates subsystem entropy and number fluctuations
-without ever using the free-fermion structure.  Serves as an
-independent cross-check of the correlation-matrix route; sizes are
-capped since the sector dimension grows combinatorially.
+Builds the many-body Hamiltonian of a fixed-number Fock sector
+explicitly, as a sparse matrix over the occupation basis, finds its
+ground state and the gap to the next state by Lanczos, and evaluates
+subsystem entropy and number fluctuations without ever using the
+free-fermion structure.  Serves as an independent cross-check of the
+correlation-matrix route; sizes are capped since the sector dimension
+grows combinatorially (3432 states at 14 sites, half filled).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from itertools import combinations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chains import ChainSpec, build_hamiltonian
 from .observables import Region
@@ -20,6 +23,7 @@ from .spectral import DegenerateFermiLevelError
 
 MAX_SITES = 14
 _GAP_ATOL = 1e-10
+_RESIDUAL_ATOL = 1e-10
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,27 +43,92 @@ class FockGroundState:
     amplitudes: np.ndarray
 
 
+def _occupations(basis: np.ndarray, n_sites: int) -> np.ndarray:
+    # occupation of mode j (0-based) in column j, one row per basis state
+    return (basis[:, None] >> np.arange(n_sites)) & 1
+
+
+def _region_occupations(state: FockGroundState, region: Region) -> np.ndarray:
+    # occupations of the state's basis, once the region is known to fit
+    n = state.spec.n_sites
+    if region.last > n:
+        raise ValueError(f"region ends at {region.last}, chain has {n} sites")
+    return _occupations(state.basis, n)
+
+
 def _sector_basis(n_sites: int, n_particles: int) -> np.ndarray:
-    states = [sum(1 << i for i in occ)
-              for occ in combinations(range(n_sites), n_particles)]
-    return np.array(sorted(states), dtype=np.int64)
+    states = np.arange(1 << n_sites, dtype=np.int64)
+    return states[_occupations(states, n_sites).sum(axis=1) == n_particles]
 
 
-def _hop_phase(state: int, a: int, b: int) -> int:
-    # phase of c^dag_a c_b between number-ordered states: occupied count
-    # strictly between the two modes (0-based mode indices)
-    lo, hi = (a, b) if a < b else (b, a)
-    mask = ((1 << hi) - 1) ^ ((1 << (lo + 1)) - 1)
-    return -1 if bin(state & mask).count("1") % 2 else 1
+def sector_hamiltonian(spec: ChainSpec, basis: np.ndarray) -> sparse.csr_matrix:
+    """Many-body hopping Hamiltonian on a sorted sector basis, as CSR.
+
+    Each nonzero single-particle element h[a, b] (all off-diagonal: the
+    chain has hoppings only) moves a particle from mode b to mode a in
+    every state where b is filled and a empty, with the fermion sign
+    (-1)^(occupied modes strictly between a and b).  Target states are
+    found by binary search in the sorted basis.
+    """
+    h1 = build_hamiltonian(spec)
+    occ = _occupations(basis, spec.n_sites)
+    # prefix[:, k] counts occupied modes 0..k-1
+    prefix = np.zeros((basis.size, spec.n_sites + 1), dtype=np.int64)
+    np.cumsum(occ, axis=1, out=prefix[:, 1:])
+    rows, cols, data = [], [], []
+    for a, b in zip(*np.nonzero(h1)):
+        col = np.flatnonzero(occ[:, b] & (1 - occ[:, a]))
+        lo, hi = min(a, b), max(a, b)
+        between = prefix[col, hi] - prefix[col, lo + 1]
+        rows.append(np.searchsorted(basis, basis[col] ^ (1 << a | 1 << b)))
+        cols.append(col)
+        data.append(h1[a, b] * (1 - 2 * (between & 1)))
+    dim = basis.size
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim))
+
+
+def _lowest_pair(h: sparse.csr_matrix, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    # two lowest eigenpairs in ascending order, residual-checked
+    dim = h.shape[0]
+    if dim <= 2:
+        # ARPACK needs more states than requested eigenpairs
+        return np.linalg.eigh(h.toarray())
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    try:
+        energies, vectors = eigsh(h, k=2, which="SA", tol=0, v0=v0)
+    except ArpackNoConvergence as err:
+        raise np.linalg.LinAlgError(
+            f"Lanczos failed on the {dim}-state sector of {n_sites}x{n_sites} chain: {err}"
+        ) from err
+    order = np.argsort(energies)
+    energies, vectors = energies[order], vectors[:, order]
+    residual = float(np.abs(h @ vectors - vectors * energies).max())
+    if residual > _RESIDUAL_ATOL:
+        raise np.linalg.LinAlgError(
+            f"Lanczos residual {residual:.3e} on the {dim}-state sector "
+            f"of {n_sites}x{n_sites} chain")
+    return energies, vectors
 
 
 def ground_state_fock(spec: ChainSpec, n_particles: int) -> FockGroundState:
     """Exact ground state of the hopping chain at fixed particle number.
 
+    The sector Hamiltonian is built sparse over the occupation basis and
+    its two lowest states are found by implicitly restarted Lanczos
+    (ARPACK), from a fixed start vector so results repeat bit for bit;
+    sectors of one or two states, too small for ARPACK, are solved
+    densely.  Both Lanczos pairs must satisfy H v = E v to 1e-10 in
+    every component.
+
     Raises
     ------
     DegenerateFermiLevelError
         If the sector ground state is degenerate within 1e-10.
+    numpy.linalg.LinAlgError
+        If Lanczos does not converge or leaves a residual above 1e-10;
+        the message names the chain size.
     """
     n = spec.n_sites
     if n > MAX_SITES:
@@ -67,24 +136,8 @@ def ground_state_fock(spec: ChainSpec, n_particles: int) -> FockGroundState:
     if not 0 <= n_particles <= n:
         raise ValueError(f"n_particles must be in 0..{n}")
     basis = _sector_basis(n, n_particles)
-    index = {int(s): i for i, s in enumerate(basis)}
-    dim = basis.size
-    h1 = build_hamiltonian(spec)
-
-    h = np.zeros((dim, dim))
-    hops = [(i, j, h1[i, j]) for i in range(n) for j in range(n)
-            if i != j and h1[i, j] != 0.0]
-    for col, state in enumerate(map(int, basis)):
-        for a, b, t in hops:
-            if state >> b & 1 and not state >> a & 1:
-                new = state & ~(1 << b) | (1 << a)
-                h[index[new], col] += t * _hop_phase(state, a, b)
-
-    if dim == 1:
-        return FockGroundState(spec, n_particles, float(h[0, 0]), np.inf,
-                               basis, np.ones(1))
-    energies, vectors = np.linalg.eigh(h)
-    gap = float(energies[1] - energies[0])
+    energies, vectors = _lowest_pair(sector_hamiltonian(spec, basis), n)
+    gap = float(energies[1] - energies[0]) if basis.size > 1 else np.inf
     if gap < _GAP_ATOL:
         raise DegenerateFermiLevelError(
             f"sector ground state degenerate (gap {gap:.3e})"
@@ -101,23 +154,16 @@ def reduced_density_matrix(state: FockGroundState, region: Region) -> np.ndarray
     region modes contributes (-1)^(n_left * n_region) per state, and
     rho_A = M M^T.
     """
-    n = state.spec.n_sites
-    if region.last > n:
-        raise ValueError(f"region ends at {region.last}, chain has {n} sites")
+    occ = _region_occupations(state, region)
     region_mask = ((1 << region.length) - 1) << (region.first - 1)
-    left_mask = (1 << (region.first - 1)) - 1
+    n_reg = occ[:, region.first - 1:region.last].sum(axis=1)
+    n_left = occ[:, :region.first - 1].sum(axis=1)
+    region_bits, r_index = np.unique(state.basis & region_mask, return_inverse=True)
+    rest_bits, c_index = np.unique(state.basis & ~region_mask, return_inverse=True)
 
-    region_bits = sorted({int(s) & region_mask for s in state.basis})
-    rest_bits = sorted({int(s) & ~region_mask for s in state.basis})
-    r_index = {b: i for i, b in enumerate(region_bits)}
-    c_index = {b: i for i, b in enumerate(rest_bits)}
-
-    m = np.zeros((len(region_bits), len(rest_bits)))
-    for amp, s in zip(state.amplitudes, map(int, state.basis)):
-        n_reg = bin(s & region_mask).count("1")
-        n_left = bin(s & left_mask).count("1")
-        sign = -1.0 if (n_reg * n_left) % 2 else 1.0
-        m[r_index[s & region_mask], c_index[s & ~region_mask]] += sign * amp
+    # each state is one (region, rest) pair, so no entry is written twice
+    m = np.zeros((region_bits.size, rest_bits.size))
+    m[r_index, c_index] = np.where((n_reg * n_left) % 2, -1.0, 1.0) * state.amplitudes
     return m @ m.T
 
 
@@ -132,8 +178,7 @@ def fock_entropy(rho: np.ndarray) -> float:
 
 def fock_fluctuation(state: FockGroundState, region: Region) -> float:
     """Number variance of a region, directly over occupation bitmasks."""
-    region_mask = ((1 << region.length) - 1) << (region.first - 1)
-    counts = np.array([bin(int(s) & region_mask).count("1") for s in state.basis])
+    counts = _region_occupations(state, region)[:, region.first - 1:region.last].sum(axis=1)
     w = state.amplitudes**2
     mean = float(w @ counts)
     return float(w @ counts**2) - mean**2

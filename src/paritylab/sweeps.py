@@ -119,6 +119,8 @@ def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
         raise ValueError(f"bad ladder range [{lo}, {hi}]")
     if factor <= 1.0:
         raise ValueError(f"ladder factor must exceed 1, got {factor}")
+    if step < 1:
+        raise ValueError(f"ladder step must be at least 1, got {step}")
     out = []
     x = float(lo)
     while x <= hi * (1.0 + 1e-9):

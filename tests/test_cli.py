@@ -39,7 +39,7 @@ def test_run_without_config_is_a_usage_error(capsys):
     assert "config" in capsys.readouterr().err
 
 
-def test_config_errors(tmp_path, capsys):
+def test_config_errors(tmp_path, capsys, monkeypatch):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
     assert cli.main(["run", str(bad_json)]) == 2
@@ -102,6 +102,33 @@ def test_config_errors(tmp_path, capsys):
         assert not (tmp_path / f"{name}.csv").exists(), name
     cfg = _write_config(tmp_path / "a0.json", scenario="slope-at-unity", aspect_den=0)
     assert cli.main(["run", cfg]) == 2
+
+    # worker counts and ladder steps are checked before any solve
+    cfg = _write_config(tmp_path / "par.json", output="par.csv", scenario="impurity-sweep",
+                        ratios=[0.8], sizes=[40], parallelism=0)
+    assert cli.main(["run", cfg]) == 2
+    assert "parallelism" in capsys.readouterr().err
+    monkeypatch.setenv("LAB_THREADS", "two")
+    cfg = _write_config(tmp_path / "env.json", output="env.csv", scenario="dot-crossover",
+                        ratios=[0.2])
+    assert cli.main(["run", cfg]) == 2
+    assert "LAB_THREADS" in capsys.readouterr().err
+    monkeypatch.delenv("LAB_THREADS")
+    cfg = _write_config(tmp_path / "step.json", output="step.csv", scenario="impurity-sweep",
+                        ratios=[0.8], sizes={"lo": 40, "hi": 80, "step": 0})
+    assert cli.main(["run", cfg]) == 2
+    assert "step" in capsys.readouterr().err
+
+    # slope-at-unity needs two ratios in every fit window and two sizes
+    for name, overrides in (("one-ratio", dict(ratios=[1.0], sizes=[40, 80])),
+                            ("narrow", dict(ratios=[0.9, 1.0], sizes=[40, 80])),
+                            ("one-size", dict(sizes=[40, 40]))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv",
+                            scenario="slope-at-unity", **overrides)
+        assert cli.main(["run", cfg]) == 2, name
+        capsys.readouterr()
+    for name in ("par", "env", "step", "one-ratio", "narrow", "one-size"):
+        assert not (tmp_path / f"{name}.csv").exists(), name
 
 
 def test_impurity_sweep_is_deterministic(tmp_path, capsys):

@@ -1,14 +1,19 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from paritylab.chains import (alternating_block, dot_impurity, homogeneous,
-                              place_pattern, single_impurity)
+import paritylab.fock as fock
+from paritylab.chains import (alternating_block, build_hamiltonian, dot_impurity,
+                              homogeneous, place_pattern, single_impurity)
 from paritylab.fock import (MAX_SITES, fock_entropy, fock_fluctuation,
                             fock_region_observables, ground_state_fock,
-                            reduced_density_matrix)
+                            reduced_density_matrix, sector_hamiltonian)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
-                                diagonalize, half_filling)
+                                diagonalize, half_filling, mirror_axis)
 
 
 def _random_spec(rng):
@@ -23,6 +28,59 @@ def _random_spec(rng):
     else:
         pattern = alternating_block(ratio, 1, 2)
     return place_pattern(pattern, n)
+
+
+def _loop_sector_hamiltonian(spec, n_particles):
+    # reference: one state and one hop at a time, the sign from bit counts
+    n = spec.n_sites
+    basis = sorted(sum(1 << i for i in occ)
+                   for occ in combinations(range(n), n_particles))
+    index = {s: i for i, s in enumerate(basis)}
+    h1 = build_hamiltonian(spec)
+    h = np.zeros((len(basis), len(basis)))
+    for col, state in enumerate(basis):
+        for a in range(n):
+            for b in range(n):
+                if a == b or h1[a, b] == 0.0 or not state >> b & 1 or state >> a & 1:
+                    continue
+                lo, hi = min(a, b), max(a, b)
+                between = state & ((1 << hi) - (1 << (lo + 1)))
+                sign = -1 if bin(between).count("1") % 2 else 1
+                h[index[state & ~(1 << b) | (1 << a)], col] += h1[a, b] * sign
+    return np.array(basis), h
+
+
+def _assert_matches_correlation_route(spec, region, n_particles=None):
+    n_particles = half_filling(spec) if n_particles is None else n_particles
+    s_fock, f_fock = fock_region_observables(spec, n_particles, region)
+    obs = region_observables(correlation_matrix(diagonalize(spec), n_particles), region)
+    assert s_fock == pytest.approx(obs.entropy, abs=1e-10)
+    assert f_fock == pytest.approx(obs.fluctuation, abs=1e-10)
+
+
+def test_sparse_sector_matches_loop_reference():
+    rng = np.random.default_rng(3)
+    specs = [_random_spec(rng) for _ in range(6)]
+    specs += [place_pattern(dot_impurity(0.6, 3), 6, boundary="periodic"),
+              place_pattern(single_impurity(1.4, 7), 7, boundary="periodic"),
+              homogeneous(2, boundary="periodic")]
+    for spec in specs:
+        for n_particles in range(spec.n_sites + 1):
+            basis, h_ref = _loop_sector_hamiltonian(spec, n_particles)
+            state = ground_state_fock(spec, n_particles)
+            assert np.array_equal(state.basis, basis)
+            assert np.array_equal(sector_hamiltonian(spec, state.basis).toarray(), h_ref)
+            energies = np.linalg.eigvalsh(h_ref)
+            assert state.energy == pytest.approx(energies[0], abs=1e-12)
+            if basis.size > 1:
+                assert state.gap == pytest.approx(energies[1] - energies[0], abs=1e-12)
+
+
+def test_lanczos_is_repeatable():
+    spec = place_pattern(alternating_block(0.7, 2, 3), 10)
+    first, second = ground_state_fock(spec, 5), ground_state_fock(spec, 5)
+    assert np.array_equal(first.amplitudes, second.amplitudes)
+    assert first.energy == second.energy and first.gap == second.gap
 
 
 def test_ground_energy_fills_lowest_orbitals():
@@ -47,6 +105,8 @@ def test_reduced_density_matrix_is_a_state():
     assert np.linalg.eigvalsh(rho).min() > -1e-14
     with pytest.raises(ValueError):
         reduced_density_matrix(state, Region(6, 4))
+    with pytest.raises(ValueError):
+        fock_fluctuation(state, Region(6, 4))
 
 
 def test_entropy_equals_complement_entropy():
@@ -79,16 +139,19 @@ def test_matches_correlation_route():
         obs = region_observables(g, region)
         assert s_fock == pytest.approx(obs.entropy, abs=1e-10)
         assert f_fock == pytest.approx(obs.fluctuation, abs=1e-10)
+    largest = place_pattern(single_impurity(0.6, 5), MAX_SITES)
+    _assert_matches_correlation_route(largest, Region(1, 5))
+    _assert_matches_correlation_route(largest, Region(4, 7))
 
 
 def test_matches_correlation_route_on_ring():
-    spec = place_pattern(single_impurity(0.6, 2), 8, boundary="periodic")
-    # half filling is degenerate on the clean ring; the defect opens it
-    s_fock, f_fock = fock_region_observables(spec, 4, Region(3, 4))
-    g = correlation_matrix(diagonalize(spec), 4)
-    obs = region_observables(g, Region(3, 4))
-    assert s_fock == pytest.approx(obs.entropy, abs=1e-10)
-    assert f_fock == pytest.approx(obs.fluctuation, abs=1e-10)
+    # half filling is degenerate on the clean 8-site ring; the defect opens it
+    _assert_matches_correlation_route(
+        place_pattern(single_impurity(0.6, 2), 8, boundary="periodic"), Region(3, 4))
+    largest = place_pattern(dot_impurity(0.5, 4), MAX_SITES, boundary="periodic")
+    assert mirror_axis(largest.bond_ratios()) is not None
+    _assert_matches_correlation_route(largest, Region(1, 4))
+    _assert_matches_correlation_route(largest, Region(3, 7))
 
 
 def test_away_from_half_filling():
@@ -109,6 +172,45 @@ def test_degenerate_sector_raises():
         ground_state_fock(ring, 4)
     # a non-degenerate filling of the same ring is fine
     assert ground_state_fock(ring, 1).gap > 0
+    # L = 0 mod 4 rings keep a pair of zero modes while the odd and even
+    # bonds have equal hopping products, as a clean ring and a dot do
+    for spec in (homogeneous(12, boundary="periodic"),
+                 place_pattern(dot_impurity(0.5, 6), 12, boundary="periodic")):
+        with pytest.raises(DegenerateFermiLevelError):
+            ground_state_fock(spec, 6)
+
+
+def test_smallest_sectors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (homogeneous(2), place_pattern(single_impurity(0.5, 1), 3)):
+            energies = diagonalize(spec).energies
+            state = ground_state_fock(spec, 1)
+            assert state.basis.size == spec.n_sites
+            assert state.energy == pytest.approx(energies[0], abs=1e-12)
+            assert state.gap == pytest.approx(energies[1] - energies[0], abs=1e-12)
+            _assert_matches_correlation_route(spec, Region(1, 1), 1)
+
+
+def test_solver_failures_name_the_chain(monkeypatch):
+    spec = place_pattern(single_impurity(0.6, 5), 10)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    monkeypatch.setattr(fock, "eigsh", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="10x10 chain"):
+        ground_state_fock(spec, 5)
+
+    def inexact(h, **kwargs):
+        energies, vectors = np.linalg.eigh(h.toarray())
+        vectors[0, :2] += 1e-6
+        return energies[:2], vectors[:, :2]
+
+    monkeypatch.setattr(fock, "eigsh", inexact)
+    with pytest.raises(np.linalg.LinAlgError, match="residual .* 10x10 chain"):
+        ground_state_fock(spec, 5)
 
 
 def test_size_and_filling_guards():

@@ -49,6 +49,8 @@ def test_size_ladder():
         size_ladder(100, 50, 10)
     with pytest.raises(ValueError):
         size_ladder(100, 200, 10, factor=1.0)
+    with pytest.raises(ValueError):
+        size_ladder(100, 200, 0)
 
 
 def test_boundary_sweep_layout():
