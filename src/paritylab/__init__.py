@@ -3,144 +3,8 @@
 Tools for building hopping chains with modified bonds, measuring
 entanglement entropy and charge fluctuations of edge regions, and
 comparing the even/odd region-length splittings against scattering
-theory predictions.
+theory predictions.  Everything is used through its module, as in
+``from paritylab import sweeps``.
 """
 
-from .chains import (
-    ChainSpec,
-    ImpurityPattern,
-    alternating_block,
-    build_hamiltonian,
-    dot_impurity,
-    homogeneous,
-    parity_pair,
-    place_pattern,
-    single_impurity,
-)
-from .fitting import (
-    BulkScalingResult,
-    CrossoverCurve,
-    FitRankError,
-    ParityScalingResult,
-    ScalingSample,
-    boundary_part,
-    curve_sup_distance,
-    delta_slope_at_unity,
-    dot_crossover,
-    extrapolate_inverse,
-    fit_boundary_entropy,
-    fit_boundary_fluct,
-    fit_bulk_entropy,
-    fit_bulk_fluct,
-)
-from .fock import fock_region_observables, ground_state_fock
-from .observables import (
-    Region,
-    RegionObservables,
-    charge_fluctuation,
-    entanglement_entropy,
-    occupation_spectrum,
-    region_observables,
-    restrict,
-)
-from .scattering import (
-    dot_transmission,
-    effective_strength,
-    exterior_matching,
-    near_zero_modes,
-    phase_shift,
-    solve_block,
-)
-from .spectral import (
-    DegenerateFermiLevelError,
-    correlation_matrix,
-    diagonalize,
-    half_filling,
-    occupy,
-)
-from .sweeps import (
-    boundary_sweep,
-    bulk_sweep,
-    delta_pair,
-    dot_series,
-    measure,
-    pair_samples,
-    size_ladder,
-    splitting_table,
-)
-from .theory import (
-    ENTROPY_PLATEAU,
-    FLUCT_PLATEAU,
-    dilog,
-    effective_central_charge,
-    effective_fluct_coefficient,
-    entropy_parity_slope,
-    fluct_parity_slope,
-    perturbative_fluct_slope,
-    transmission_coefficient,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainSpec",
-    "ImpurityPattern",
-    "alternating_block",
-    "build_hamiltonian",
-    "dot_impurity",
-    "homogeneous",
-    "parity_pair",
-    "place_pattern",
-    "single_impurity",
-    "BulkScalingResult",
-    "CrossoverCurve",
-    "FitRankError",
-    "ParityScalingResult",
-    "ScalingSample",
-    "boundary_part",
-    "curve_sup_distance",
-    "delta_slope_at_unity",
-    "dot_crossover",
-    "extrapolate_inverse",
-    "fit_boundary_entropy",
-    "fit_boundary_fluct",
-    "fit_bulk_entropy",
-    "fit_bulk_fluct",
-    "fock_region_observables",
-    "ground_state_fock",
-    "Region",
-    "RegionObservables",
-    "charge_fluctuation",
-    "entanglement_entropy",
-    "occupation_spectrum",
-    "region_observables",
-    "restrict",
-    "dot_transmission",
-    "effective_strength",
-    "exterior_matching",
-    "near_zero_modes",
-    "phase_shift",
-    "solve_block",
-    "DegenerateFermiLevelError",
-    "correlation_matrix",
-    "diagonalize",
-    "half_filling",
-    "occupy",
-    "boundary_sweep",
-    "bulk_sweep",
-    "delta_pair",
-    "dot_series",
-    "measure",
-    "pair_samples",
-    "size_ladder",
-    "splitting_table",
-    "ENTROPY_PLATEAU",
-    "FLUCT_PLATEAU",
-    "dilog",
-    "effective_central_charge",
-    "effective_fluct_coefficient",
-    "entropy_parity_slope",
-    "fluct_parity_slope",
-    "perturbative_fluct_slope",
-    "transmission_coefficient",
-]

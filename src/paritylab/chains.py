@@ -17,8 +17,10 @@ import dataclasses
 
 import numpy as np
 
-_BOUNDARIES = ("open", "periodic")
-_PATTERN_KINDS = ("single", "dot", "alternating")
+BOUNDARIES = ("open", "periodic")
+PATTERN_KINDS = ("single", "dot", "alternating")
+# Subsystem parities of a parity pair, even member first.
+PARITIES = ("even", "odd")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,8 +49,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
-        if self.boundary not in _BOUNDARIES:
-            raise ValueError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if self.hopping <= 0:
             raise ValueError("hopping scale must be positive")
         seen = set()
@@ -88,8 +90,8 @@ class ImpurityPattern:
     ratios: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _PATTERN_KINDS:
-            raise ValueError(f"kind must be one of {_PATTERN_KINDS}, got {self.kind!r}")
+        if self.kind not in PATTERN_KINDS:
+            raise ValueError(f"kind must be one of {PATTERN_KINDS}, got {self.kind!r}")
         if self.anchor < 1:
             raise ValueError(f"anchor bond must be >= 1, got {self.anchor}")
         if not self.ratios:

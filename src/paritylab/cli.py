@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .fitting import (FitRankError, curve_sup_distance, delta_slope_at_unity,
-                      dot_crossover, extrapolate_inverse, window_ratios)
-from .chains import ChainSpec, alternating_block, place_pattern
+from .chains import BOUNDARIES, alternating_block, place_pattern
+from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
+                      window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
 from .spectral import DegenerateFermiLevelError
 from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
@@ -30,8 +30,7 @@ from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
                      splitting_table)
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
-                     tabulated_entropy_integral, tabulated_fluct_integral,
-                     transmission_coefficient)
+                     tabulated_entropy_integral, tabulated_fluct_integral)
 
 SCENARIOS = ("impurity-sweep", "ssh-collapse", "dot-crossover",
              "slope-at-unity", "theory-check", "zero-modes")
@@ -139,7 +138,7 @@ def _load_config(path: str) -> dict:
 def _number(cast, config, key):
     try:
         return cast(config[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {config[key]!r}") from exc
 
 
@@ -149,7 +148,7 @@ def _number_list(cast, config, key) -> list:
         raise ConfigError(f"{key} must be a list, got {values!r}")
     try:
         return [cast(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {values!r}") from exc
 
 
@@ -159,10 +158,10 @@ def _sizes_from(config) -> list[int]:
         try:
             sizes = size_ladder(sizes["lo"], sizes["hi"], sizes["step"],
                                 sizes.get("offset", 0), sizes.get("factor", 1.15))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad sizes ladder: {exc}") from exc
-        return list(sizes)
-    sizes = _number_list(int, config, "sizes")
+    else:
+        sizes = _number_list(int, config, "sizes")
     if not sizes:
         raise ConfigError("empty size ladder")
     return sizes
@@ -211,7 +210,7 @@ def _run_impurity_sweep(config) -> tuple[list[str], list[tuple]]:
     if aspect_den < 2:
         raise ConfigError(f"aspect_den must be at least 2, got {aspect_den}")
     boundary = config["boundary"]
-    if boundary not in ("open", "periodic"):
+    if boundary not in BOUNDARIES:
         raise ConfigError(f"boundary must be open or periodic, got {boundary!r}")
     if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
         raise ConfigError("periodic sizes must be 2 mod 4")
@@ -266,6 +265,9 @@ def _run_ssh_collapse(config) -> tuple[list[str], list[tuple]]:
 
 
 def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[int]:
+    if not all(math.isfinite(v) for v in (x_lo, x_hi, factor)):
+        raise ConfigError(f"x_lo, x_hi and ladder_factor must be finite, "
+                          f"got {x_lo}, {x_hi}, {factor}")
     if not 0 < x_lo < x_hi:
         raise ConfigError(f"need 0 < x_lo < x_hi, got {x_lo}, {x_hi}")
     if factor <= 1.0 or factor > 1.5:
@@ -309,8 +311,8 @@ def _run_slope_at_unity(config) -> tuple[list[str], list[tuple]]:
     ratios = _check_ratios(config)
     sizes = _sizes_from(config)
     windows = _number_list(float, config, "windows")
-    if len(windows) < 2 or any(w <= 0 for w in windows):
-        raise ConfigError("need at least two positive fit windows")
+    if len(windows) < 2 or not all(0 < w < math.inf for w in windows):
+        raise ConfigError("need at least two positive finite fit windows")
     if windows[0] == windows[-1]:
         raise ConfigError("first and last fit windows must differ")
     for w in windows:
@@ -370,7 +372,7 @@ def _run_zero_modes(config) -> tuple[list[str], list[tuple]]:
 
 
 def theory_check_rows() -> tuple[list[str], list[tuple]]:
-    """Closed-form identity residuals with their tolerances."""
+    """Closed-form identity residuals, their tolerances and an ok/fail status."""
     checks = []
 
     s_grid = np.linspace(0.05, 0.95, 19)
@@ -408,8 +410,13 @@ def theory_check_rows() -> tuple[list[str], list[tuple]]:
     return ["check", "value", "reference", "residual", "tolerance", "status"], rows
 
 
-def _run_theory_check(config) -> tuple[list[str], list[tuple]]:
-    return theory_check_rows()
+def _check_exit_code(rows: list[tuple]) -> int:
+    """3 if any theory-check row failed, each failure named on stderr; else 0."""
+    failed = [row for row in rows if row[-1] == "fail"]
+    for name, _, _, residual, tol, _ in failed:
+        print(f"check {name} failed: residual {residual:.3e} > {tol:.0e}",
+              file=sys.stderr)
+    return 3 if failed else 0
 
 
 _RUNNERS = {
@@ -417,7 +424,7 @@ _RUNNERS = {
     "ssh-collapse": _run_ssh_collapse,
     "dot-crossover": _run_dot_crossover,
     "slope-at-unity": _run_slope_at_unity,
-    "theory-check": _run_theory_check,
+    "theory-check": lambda config: theory_check_rows(),
     "zero-modes": _run_zero_modes,
 }
 
@@ -443,27 +450,20 @@ def cmd_run(args) -> int:
         return 3
     path = config["output"]
     write_csv(path, header, rows)
-    failed = [r for r in rows if header[-1] == "status" and r[-1] == "fail"]
-    for row in failed:
-        print(f"check {row[0]} failed: residual {row[3]:.3e} > {row[4]:.0e}",
-              file=sys.stderr)
     print(f"wrote {len(rows)} rows to {path}")
-    return 3 if failed else 0
+    return _check_exit_code(rows) if config["scenario"] == "theory-check" else 0
 
 
 def cmd_theory_check(args) -> int:
-    header, rows = theory_check_rows()
+    _, rows = theory_check_rows()
     width = max(len(r[0]) for r in rows)
-    bad = 0
     for name, value, reference, residual, tol, status in rows:
         print(f"{name:<{width}}  value={value: .12e}  ref={reference: .12e}  "
               f"residual={residual:.3e}  tol={tol:.0e}  {status}")
-        bad += status == "fail"
-    if bad:
-        print(f"{bad} identity check(s) failed", file=sys.stderr)
-        return 3
-    print("all identity checks passed")
-    return 0
+    code = _check_exit_code(rows)
+    if code == 0:
+        print("all identity checks passed")
+    return code
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-_PARITIES = ("even", "odd")
+from .chains import BOUNDARIES, PARITIES
 
 
 class FitRankError(ValueError):
@@ -37,9 +37,9 @@ class ScalingSample:
     fluctuation: float
 
     def __post_init__(self):
-        if self.boundary not in ("open", "periodic"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"bad boundary {self.boundary!r}")
-        if self.parity not in _PARITIES:
+        if self.parity not in PARITIES:
             raise ValueError(f"bad parity {self.parity!r}")
         if not 0 < self.region_len < self.n_sites:
             raise ValueError(f"region {self.region_len} outside chain {self.n_sites}")
@@ -94,7 +94,7 @@ def periodic_chord(n_sites: int, region_len: int) -> float:
     return math.log(n_sites / math.pi * math.sin(math.pi * region_len / n_sites))
 
 
-def _check_samples(samples: Sequence[ScalingSample], boundary: str, min_per_parity: int):
+def _check_samples(samples: Sequence[ScalingSample], boundary: str):
     if not samples:
         raise ValueError("no samples")
     ratios = {s.ratio for s in samples}
@@ -103,12 +103,10 @@ def _check_samples(samples: Sequence[ScalingSample], boundary: str, min_per_pari
     bad = {s.boundary for s in samples} - {boundary}
     if bad:
         raise ValueError(f"expected {boundary} samples, got {bad}")
-    for parity in _PARITIES:
+    for parity in PARITIES:
         count = sum(1 for s in samples if s.parity == parity)
-        if count < min_per_parity:
-            raise ValueError(
-                f"need at least {min_per_parity} {parity} samples, got {count}"
-            )
+        if count < 4:
+            raise ValueError(f"need at least 4 {parity} samples, got {count}")
     for s in samples:
         if (s.region_len % 2 == 0) != (s.parity == "even"):
             raise ValueError(
@@ -126,17 +124,38 @@ def _solve(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, rms
 
 
-def _parity_design(samples, chord, with_log):
+def _design(samples, boundary, with_log):
+    # columns: chord, constant(s), 1/ell per parity, then ln(ell)/ell per
+    # parity; open chains split the constant by parity, rings share it
+    chord = open_chord if boundary == "open" else periodic_chord
     rows = []
     for s in samples:
         even = 1.0 if s.parity == "even" else 0.0
         odd = 1.0 - even
         ell = s.region_len
-        row = [chord(s.n_sites, ell), even, odd, even / ell, odd / ell]
+        consts = [even, odd] if boundary == "open" else [1.0]
+        row = [chord(s.n_sites, ell), *consts, even / ell, odd / ell]
         if with_log:
             row += [even * math.log(ell) / ell, odd * math.log(ell) / ell]
         rows.append(row)
     return np.array(rows)
+
+
+def _fit(samples, boundary, observable):
+    # shared-slope fit of one observable, "entropy" or "fluctuation"
+    _check_samples(samples, boundary)
+    with_log = observable == "fluctuation"
+    design = _design(samples, boundary, with_log)
+    target = np.array([getattr(s, observable) for s in samples])
+    coef, rms = _solve(design, target)
+    k = 3 if boundary == "open" else 2
+    common = dict(slope=coef[0], inv_even=coef[k], inv_odd=coef[k + 1],
+                  log_even=coef[k + 2] if with_log else None,
+                  log_odd=coef[k + 3] if with_log else None,
+                  residual_rms=rms, n_samples=len(samples))
+    if boundary == "open":
+        return ParityScalingResult(const_even=coef[1], const_odd=coef[2], **common)
+    return BulkScalingResult(const=coef[1], **common)
 
 
 def fit_boundary_entropy(samples: Sequence[ScalingSample]) -> ParityScalingResult:
@@ -146,43 +165,14 @@ def fit_boundary_entropy(samples: Sequence[ScalingSample]) -> ParityScalingResul
     ratio.  The slope times 6 estimates the effective central charge of
     the defect; ``delta`` is the non-decaying even/odd splitting.
     """
-    _check_samples(samples, "open", 4)
-    design = _parity_design(samples, open_chord, with_log=False)
-    target = np.array([s.entropy for s in samples])
-    coef, rms = _solve(design, target)
-    return ParityScalingResult(
-        slope=coef[0], const_even=coef[1], const_odd=coef[2],
-        inv_even=coef[3], inv_odd=coef[4], log_even=None, log_odd=None,
-        residual_rms=rms, n_samples=len(samples),
-    )
+    return _fit(samples, "open", "entropy")
 
 
 def fit_boundary_fluct(samples: Sequence[ScalingSample]) -> ParityScalingResult:
     """Like `fit_boundary_entropy` for number fluctuations, with an extra
     ln(ell)/ell correction per parity; 2 pi^2 times the slope estimates
     the squared Fermi-point transmission."""
-    _check_samples(samples, "open", 4)
-    design = _parity_design(samples, open_chord, with_log=True)
-    target = np.array([s.fluctuation for s in samples])
-    coef, rms = _solve(design, target)
-    return ParityScalingResult(
-        slope=coef[0], const_even=coef[1], const_odd=coef[2],
-        inv_even=coef[3], inv_odd=coef[4], log_even=coef[5], log_odd=coef[6],
-        residual_rms=rms, n_samples=len(samples),
-    )
-
-
-def _bulk_design(samples, with_log):
-    rows = []
-    for s in samples:
-        even = 1.0 if s.parity == "even" else 0.0
-        odd = 1.0 - even
-        ell = s.region_len
-        row = [periodic_chord(s.n_sites, ell), 1.0, even / ell, odd / ell]
-        if with_log:
-            row += [even * math.log(ell) / ell, odd * math.log(ell) / ell]
-        rows.append(row)
-    return np.array(rows)
+    return _fit(samples, "open", "fluctuation")
 
 
 def fit_bulk_entropy(samples: Sequence[ScalingSample]) -> BulkScalingResult:
@@ -192,26 +182,12 @@ def fit_bulk_entropy(samples: Sequence[ScalingSample]) -> BulkScalingResult:
     border); the shared constant feeds `boundary_part`.  Parity enters
     only through the decaying 1/ell corrections.
     """
-    _check_samples(samples, "periodic", 4)
-    design = _bulk_design(samples, with_log=False)
-    target = np.array([s.entropy for s in samples])
-    coef, rms = _solve(design, target)
-    return BulkScalingResult(
-        slope=coef[0], const=coef[1], inv_even=coef[2], inv_odd=coef[3],
-        log_even=None, log_odd=None, residual_rms=rms, n_samples=len(samples),
-    )
+    return _fit(samples, "periodic", "entropy")
 
 
 def fit_bulk_fluct(samples: Sequence[ScalingSample]) -> BulkScalingResult:
     """Ring fit for fluctuations; 2 pi^2 times the slope estimates 1 + s^2."""
-    _check_samples(samples, "periodic", 4)
-    design = _bulk_design(samples, with_log=True)
-    target = np.array([s.fluctuation for s in samples])
-    coef, rms = _solve(design, target)
-    return BulkScalingResult(
-        slope=coef[0], const=coef[1], inv_even=coef[2], inv_odd=coef[3],
-        log_even=coef[4], log_odd=coef[5], residual_rms=rms, n_samples=len(samples),
-    )
+    return _fit(samples, "periodic", "fluctuation")
 
 
 def boundary_part(parity: ParityScalingResult, bulk: BulkScalingResult,

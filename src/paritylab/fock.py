@@ -48,12 +48,10 @@ def _occupations(basis: np.ndarray, n_sites: int) -> np.ndarray:
     return (basis[:, None] >> np.arange(n_sites)) & 1
 
 
-def _region_occupations(state: FockGroundState, region: Region) -> np.ndarray:
-    # occupations of the state's basis, once the region is known to fit
+def _check_region(state: FockGroundState, region: Region) -> None:
     n = state.spec.n_sites
     if region.last > n:
         raise ValueError(f"region ends at {region.last}, chain has {n} sites")
-    return _occupations(state.basis, n)
 
 
 def _sector_basis(n_sites: int, n_particles: int) -> np.ndarray:
@@ -150,20 +148,17 @@ def reduced_density_matrix(state: FockGroundState, region: Region) -> np.ndarray
     """Trace the ground state down to a contiguous region.
 
     Amplitudes are arranged into a (region configurations) x (rest
-    configurations) matrix; moving the sites left of the region past the
-    region modes contributes (-1)^(n_left * n_region) per state, and
-    rho_A = M M^T.
+    configurations) matrix M, and rho_A = M M^T.
     """
-    occ = _region_occupations(state, region)
+    _check_region(state, region)
     region_mask = ((1 << region.length) - 1) << (region.first - 1)
-    n_reg = occ[:, region.first - 1:region.last].sum(axis=1)
-    n_left = occ[:, :region.first - 1].sum(axis=1)
     region_bits, r_index = np.unique(state.basis & region_mask, return_inverse=True)
     rest_bits, c_index = np.unique(state.basis & ~region_mask, return_inverse=True)
 
-    # each state is one (region, rest) pair, so no entry is written twice
+    # each state is one (region, rest) pair, so no entry is written twice;
+    # no fermion sign: (-1)^(n_left n_region) is fixed by the column at fixed N
     m = np.zeros((region_bits.size, rest_bits.size))
-    m[r_index, c_index] = np.where((n_reg * n_left) % 2, -1.0, 1.0) * state.amplitudes
+    m[r_index, c_index] = state.amplitudes
     return m @ m.T
 
 
@@ -178,7 +173,8 @@ def fock_entropy(rho: np.ndarray) -> float:
 
 def fock_fluctuation(state: FockGroundState, region: Region) -> float:
     """Number variance of a region, directly over occupation bitmasks."""
-    counts = _region_occupations(state, region)[:, region.first - 1:region.last].sum(axis=1)
+    _check_region(state, region)
+    counts = _occupations(state.basis >> (region.first - 1), region.length).sum(axis=1)
     w = state.amplitudes**2
     mean = float(w @ counts)
     return float(w @ counts**2) - mean**2

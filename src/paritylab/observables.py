@@ -50,12 +50,11 @@ class Region:
 
 @dataclasses.dataclass(frozen=True)
 class RegionObservables:
-    """Entropy, fluctuation and the occupation spectrum of one region."""
+    """Entropy and number fluctuation of one region."""
 
     region: Region
     entropy: float
     fluctuation: float
-    occupations: np.ndarray
 
 
 def restrict(g: np.ndarray, region: Region) -> np.ndarray:
@@ -95,15 +94,6 @@ def charge_fluctuation(occupations: np.ndarray) -> float:
     return float(np.sum(nu * (1.0 - nu)))
 
 
-def charge_fluctuation_direct(g_a: np.ndarray) -> float:
-    """Number variance straight from matrix elements, tr G_A - sum_ij (G_A)_ij^2.
-
-    Same quantity as `charge_fluctuation` without passing through the
-    eigenvalues; kept as an independent cross-check route.
-    """
-    return float(np.trace(g_a) - np.sum(g_a * g_a))
-
-
 def region_observables(g: np.ndarray, region: Region) -> RegionObservables:
     """Entropy and number fluctuation of a contiguous region.
 
@@ -123,5 +113,4 @@ def region_observables(g: np.ndarray, region: Region) -> RegionObservables:
         region=region,
         entropy=entanglement_entropy(nu),
         fluctuation=charge_fluctuation(nu),
-        occupations=nu,
     )

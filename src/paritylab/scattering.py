@@ -17,10 +17,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .chains import ChainSpec
+from .chains import PARITIES, ChainSpec
 from .spectral import diagonalize
-
-_PARITIES = ("even", "odd")
 
 
 def effective_strength(ratios: Sequence[float]) -> float:
@@ -68,7 +66,7 @@ def phase_shift(strength: float, anchor_parity: str = "even") -> PhaseShiftData:
     """
     if strength <= 0:
         raise ValueError(f"strength must be positive, got {strength}")
-    if anchor_parity not in _PARITIES:
+    if anchor_parity not in PARITIES:
         raise ValueError(f"anchor_parity must be 'even' or 'odd', got {anchor_parity!r}")
     magnitude = math.pi / 2.0 - 2.0 * math.atan(strength)
     sign = 1.0 if anchor_parity == "even" else -1.0

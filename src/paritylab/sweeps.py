@@ -11,19 +11,18 @@ member, rings of size 2 mod 4 to keep the Fermi level non-degenerate).
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chains import (ChainSpec, alternating_block, dot_impurity, parity_pair,
-                     place_pattern, single_impurity)
+from .chains import (PATTERN_KINDS, ChainSpec, alternating_block, dot_impurity,
+                     parity_pair, place_pattern, single_impurity)
 from .fitting import ScalingSample
 from .observables import Region, region_observables
 from .spectral import diagonalize, half_filling, occupy
-
-PATTERN_KINDS = ("single", "dot", "alternating")
 
 
 def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
@@ -117,8 +116,8 @@ def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
     result inside [lo, hi]."""
     if lo < 2 or hi < lo:
         raise ValueError(f"bad ladder range [{lo}, {hi}]")
-    if factor <= 1.0:
-        raise ValueError(f"ladder factor must exceed 1, got {factor}")
+    if not 1.0 < factor < math.inf:
+        raise ValueError(f"ladder factor must be finite and exceed 1, got {factor}")
     if step < 1:
         raise ValueError(f"ladder step must be at least 1, got {step}")
     out = []
@@ -160,30 +159,21 @@ def bulk_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
     return [s for pair in pairs for s in pair]
 
 
-def delta_pair(kind: str, ratio: float, n_sites: int, region_len: int,
-               n_imp: int = 1) -> tuple[float, float]:
-    """Even-minus-odd differences (entropy, fluctuation) for one geometry."""
-    even, odd = pair_samples(kind, ratio, n_sites, region_len, "open", n_imp)
-    return even.entropy - odd.entropy, even.fluctuation - odd.fluctuation
-
-
 def splitting_table(kind: str, ratios: Sequence[float], sizes: Sequence[int],
                     aspect_num: int = 1, aspect_den: int = 2, n_imp: int = 1,
                     parallelism: int = 1) -> dict[tuple[float, int], tuple[float, float]]:
     """Parity splittings on a (ratio, size) grid at fixed subsystem aspect.
 
     Every size must make aspect_num * n_sites / aspect_den an even
-    integer.  Keys are (ratio, n_sites); values (delta S, delta F).
+    integer.  Keys are (ratio, n_sites); values (delta S, delta F), even
+    minus odd.
     """
-    tasks = []
-    keys = []
-    for ratio in ratios:
-        for n_sites in sizes:
-            tasks.append((kind, ratio, n_sites,
-                          aspect_region(n_sites, aspect_num, aspect_den), n_imp))
-            keys.append((ratio, n_sites))
-    values = _run(delta_pair, tasks, parallelism)
-    return dict(zip(keys, values))
+    keys = [(ratio, n_sites) for ratio in ratios for n_sites in sizes]
+    tasks = [(kind, ratio, n_sites, aspect_region(n_sites, aspect_num, aspect_den),
+              "open", n_imp) for ratio, n_sites in keys]
+    pairs = _run(pair_samples, tasks, parallelism)
+    return {key: (even.entropy - odd.entropy, even.fluctuation - odd.fluctuation)
+            for key, (even, odd) in zip(keys, pairs)}
 
 
 def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1

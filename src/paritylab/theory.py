@@ -3,10 +3,10 @@
 Everything here is analytic or quadrature-based; no chain is ever
 diagonalized.  The central objects are the transmission amplitude s of a
 single bond defect at the Fermi point, the effective central charge
-governing the logarithmic entropy growth across the defect, the matching
-coefficient for number fluctuations, and the linear-response slopes of
-the even/odd parity splittings near the homogeneous point, both for an
-infinite system and at fixed subsystem-to-system aspect ratio.
+governing the logarithmic entropy growth across the defect, and the
+linear-response slopes of the even/odd parity splittings near the
+homogeneous point, both for an infinite system and at fixed
+subsystem-to-system aspect ratio.
 """
 
 from __future__ import annotations
@@ -111,13 +111,6 @@ def effective_central_charge_alt(s: float) -> float:
     bracket = (1.0 + s) * math.log1p(s) * math.log(s) + (1.0 + s) * dilog(-s) \
         + (s - 1.0) * dilog(1.0 - s)
     return s - 1.0 - 6.0 / math.pi**2 * bracket
-
-
-def effective_fluct_coefficient(s: float) -> float:
-    """Matching coefficient for number fluctuations across a defect, s^2."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"transmission must be in [0, 1], got {s}")
-    return s * s
 
 
 def _entropy_kernel(x: float, q: float, p: float) -> float:

@@ -20,11 +20,35 @@ def _write_config(path, **overrides):
     return str(path)
 
 
-def test_theory_check_passes(capsys):
+def test_theory_check_passes(tmp_path, capsys):
     assert cli.main(["theory-check"]) == 0
     out = capsys.readouterr().out
     assert "all identity checks passed" in out
     assert "fail" not in out
+    table = [line.split() for line in out.splitlines()[:-1]]
+
+    # the run scenario writes the same checks with the same verdicts
+    cfg = _write_config(tmp_path / "tc.json", scenario="theory-check", output="tc.csv")
+    assert cli.main(["run", cfg]) == 0
+    lines = (tmp_path / "tc.csv").read_text().splitlines()
+    assert lines[0] == "check,value,reference,residual,tolerance,status"
+    rows = [line.split(",") for line in lines[1:]]
+    assert sorted((t[0], t[-1]) for t in table) == [(r[0], r[-1]) for r in rows]
+    assert len(rows) == 9
+
+
+def test_failed_theory_check_exits_3(tmp_path, monkeypatch, capsys):
+    header, rows = cli.theory_check_rows()
+    failing = rows[:1] + [rows[1][:-1] + ("fail",)]
+    monkeypatch.setattr(cli, "theory_check_rows", lambda: (header, failing))
+    assert cli.main(["theory-check"]) == 3
+    captured = capsys.readouterr()
+    assert "all identity checks passed" not in captured.out
+    assert f"check {rows[1][0]} failed" in captured.err
+    cfg = _write_config(tmp_path / "tc.json", scenario="theory-check", output="tc.csv")
+    assert cli.main(["run", cfg]) == 3
+    assert f"check {rows[1][0]} failed" in capsys.readouterr().err
+    assert (tmp_path / "tc.csv").read_text().count(",fail\n") == 1
 
 
 def test_print_config_round_trips(capsys):
@@ -128,6 +152,26 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", cfg]) == 2, name
         capsys.readouterr()
     for name in ("par", "env", "step", "one-ratio", "narrow", "one-size"):
+        assert not (tmp_path / f"{name}.csv").exists(), name
+
+    # infinite integers and unbounded or empty ladders are config errors
+    for name, config in (
+            ("inf-aspect", dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40],
+                                aspect_den=math.inf)),
+            ("inf-size", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[math.inf])),
+            ("inf-lead", dict(scenario="zero-modes", lead=math.inf)),
+            ("inf-ladder", dict(scenario="impurity-sweep", ratios=[0.8],
+                                sizes={"lo": 40, "hi": math.inf, "step": 20})),
+            ("inf-x", dict(scenario="dot-crossover", ratios=[0.2], x_hi=math.inf)),
+            ("inf-window", dict(scenario="slope-at-unity", windows=[math.inf, 0.05])),
+            ("nan-factor", dict(scenario="impurity-sweep", ratios=[0.8],
+                                sizes={"lo": 40, "hi": 80, "step": 20, "factor": math.nan})),
+            # a ladder with no rung in range is as empty as an empty list
+            ("no-rung", dict(scenario="impurity-sweep", ratios=[0.8],
+                             sizes={"lo": 41, "hi": 45, "step": 20}))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
         assert not (tmp_path / f"{name}.csv").exists(), name
 
 

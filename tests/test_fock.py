@@ -95,6 +95,25 @@ def test_ground_energy_fills_lowest_orbitals():
         assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def _signed_reduced_density_matrix(state, region):
+    # reference: the amplitude matrix of each state carries the fermion sign
+    # (-1)^(n_left * n_region) of moving the sites left of the region past it
+    region_mask = ((1 << region.length) - 1) << (region.first - 1)
+    left_mask = (1 << (region.first - 1)) - 1
+    rows = sorted({int(b) & region_mask for b in state.basis})
+    cols = sorted({int(b) & ~region_mask for b in state.basis})
+    m = np.zeros((len(rows), len(cols)))
+    flipped = 0
+    for bits, amplitude in zip(state.basis, state.amplitudes):
+        bits = int(bits)
+        n_region = bin(bits & region_mask).count("1")
+        n_left = bin(bits & left_mask).count("1")
+        sign = -1.0 if n_region * n_left % 2 else 1.0
+        flipped += sign < 0
+        m[rows.index(bits & region_mask), cols.index(bits & ~region_mask)] = sign * amplitude
+    return m @ m.T, flipped
+
+
 def test_reduced_density_matrix_is_a_state():
     spec = place_pattern(single_impurity(0.7, 3), 8)
     state = ground_state_fock(spec, 4)
@@ -107,6 +126,22 @@ def test_reduced_density_matrix_is_a_state():
         reduced_density_matrix(state, Region(6, 4))
     with pytest.raises(ValueError):
         fock_fluctuation(state, Region(6, 4))
+
+    # the fermion sign (-1)^(n_left * n_region) is constant down each column
+    # of the amplitude matrix at fixed particle number, so rho_A comes out
+    # bit for bit the same without it
+    flipped = 0
+    for spec, fillings in (
+            (place_pattern(single_impurity(0.7, 3), 8), (2, 3, 4, 5)),
+            (place_pattern(dot_impurity(0.4, 4), 9), (3, 4)),
+            (place_pattern(single_impurity(0.6, 4), 8, "periodic"), (3, 5))):
+        for n_particles in fillings:
+            state = ground_state_fock(spec, n_particles)
+            for region in (Region(2, 3), Region(3, 4), Region(5, 3)):
+                ref, count = _signed_reduced_density_matrix(state, region)
+                assert np.array_equal(reduced_density_matrix(state, region), ref)
+                flipped += count
+    assert flipped > 0
 
 
 def test_entropy_equals_complement_entropy():

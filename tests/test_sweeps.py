@@ -3,7 +3,7 @@ import pytest
 
 from paritylab.chains import dot_impurity, place_pattern, single_impurity
 from paritylab.sweeps import (border_pattern, boundary_sweep, bulk_sweep,
-                              delta_pair, dot_series, measure, pair_samples,
+                              dot_series, measure, pair_samples,
                               resolve_parallelism, size_ladder,
                               splitting_table)
 
@@ -47,8 +47,9 @@ def test_size_ladder():
         size_ladder(1, 100, 10)
     with pytest.raises(ValueError):
         size_ladder(100, 50, 10)
-    with pytest.raises(ValueError):
-        size_ladder(100, 200, 10, factor=1.0)
+    for factor in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            size_ladder(100, 200, 10, factor=factor)
     with pytest.raises(ValueError):
         size_ladder(100, 200, 0)
 
@@ -73,7 +74,11 @@ def test_splitting_table():
     table = splitting_table("single", [0.5, 0.8], [24, 32], aspect_num=1,
                             aspect_den=2)
     assert set(table) == {(0.5, 24), (0.5, 32), (0.8, 24), (0.8, 32)}
-    assert table[(0.8, 32)] == pytest.approx(delta_pair("single", 0.8, 32, 16))
+    # each entry is the even-minus-odd difference of one measured pair
+    for (ratio, n_sites), deltas in table.items():
+        even, odd = pair_samples("single", ratio, n_sites, n_sites // 2)
+        assert deltas == (even.entropy - odd.entropy,
+                          even.fluctuation - odd.fluctuation)
     # splitting shrinks toward the transparent point
     assert abs(table[(0.8, 32)][0]) < abs(table[(0.5, 32)][0])
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from paritylab.theory import (ENTROPY_PLATEAU, FLUCT_PLATEAU,
                               FLUCT_SERIES_CONSTANT, dilog,
                               effective_central_charge,
                               effective_central_charge_alt,
-                              effective_fluct_coefficient,
                               entropy_parity_slope, entropy_slope_integral,
                               fluct_parity_slope, perturbative_fluct_slope,
                               tabulated_entropy_integral,
@@ -76,13 +75,6 @@ def test_central_charge_close_to_s_squared():
     assert gap.min() > -1e-12
     assert 0.0960 < gap.max() < 0.0970
     assert float(grid[gap.argmax()]) == pytest.approx(0.594, abs=0.01)
-
-
-def test_effective_fluct_coefficient():
-    for s in (0.0, 0.3, 1.0):
-        assert effective_fluct_coefficient(s) == s * s
-    with pytest.raises(ValueError):
-        effective_fluct_coefficient(-0.1)
 
 
 def test_tabulated_integrals():
