@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -24,7 +25,6 @@ from .chains import BOUNDARIES, alternating_block, place_pattern
 from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
-from .spectral import DegenerateFermiLevelError
 from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
                      ladder_region, pair_specs, resolve_parallelism, size_ladder,
                      splitting_table)
@@ -91,6 +91,11 @@ DEFAULTS = {
 }
 
 
+# Largest chain a plan may hold.  The open-chain solve peaked at 804 MB
+# (ru_maxrss) at 6900 sites, about 17 L^2 bytes: ~1.7 GB at this bound.
+MAX_SITES = 10_000
+
+
 class ConfigError(ValueError):
     """Invalid scenario configuration (exit code 2)."""
 
@@ -115,6 +120,7 @@ def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
 
 
 def _load_config(path: str) -> dict:
+    """The scenario's defaults overlaid by the config file, every value parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
@@ -124,158 +130,166 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    scenario = config.get("scenario")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; pick from {', '.join(SCENARIOS)}")
-    merged = dict(DEFAULTS[scenario])
-    unknown = set(config) - set(merged)
+    defaults = DEFAULTS[_parse("scenario", config.get("scenario"))]
+    unknown = set(config) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    merged.update(config)
-    return merged
+    return {key: _parse(key, config.get(key, value)) for key, value in defaults.items()}
 
 
-def _number(cast, config, key):
+def _list(cast, merge=False):
+    """Parser of a JSON list; merge drops repeated grid values, first-seen order kept."""
+    def parse(values):
+        if not isinstance(values, list):
+            raise TypeError("not a list")
+        items = tuple(cast(v) for v in values)
+        return tuple(dict.fromkeys(items)) if merge else items
+    return parse
+
+
+def _sizes(value):
+    if isinstance(value, dict):
+        return tuple(size_ladder(**value))
+    return _list(int, merge=True)(value)
+
+
+def _positive(x) -> bool:
+    return 0 < x < math.inf
+
+
+def _writable(path) -> bool:
+    return (isinstance(path, str) and path != "" and not os.path.isdir(path)
+            and os.path.isdir(os.path.dirname(path) or "."))
+
+
+# One entry per config key: (cast, ok, need).  cast turns the JSON value
+# into the parsed one and may raise; ok checks the result against need.
+_KEYS = {
+    "scenario": (str, SCENARIOS.__contains__, "one of " + ", ".join(SCENARIOS)),
+    "kind": (str, ("entropy", "fluctuation", "both").__contains__,
+             "entropy, fluctuation or both"),
+    "boundary": (str, BOUNDARIES.__contains__, "open or periodic"),
+    "ratio": (float, _positive, "positive and finite"),
+    "ratios": (_list(float, merge=True), lambda rs: rs and all(map(_positive, rs)),
+               "a non-empty list of positive and finite ratios"),
+    "sizes": (_sizes, bool, "a non-empty list or ladder of sizes"),
+    "n_imps": (_list(int, merge=True), lambda ns: ns and all(n > 0 and n % 2 for n in ns),
+               "a non-empty list of odd positive integers"),
+    "aspect_num": (int, lambda n: n >= 1, "at least 1"),
+    "aspect_den": (int, lambda n: n >= 2, "at least 2"),
+    "lead": (int, lambda n: n >= 2, "at least 2 sites"),
+    "x_lo": (float, _positive, "positive and finite"),
+    "x_hi": (float, _positive, "positive and finite"),
+    "ladder_factor": (float, lambda f: 1.0 < f <= 1.5, "in (1, 1.5]"),
+    # not a grid: the first and last windows set the extrapolation
+    "windows": (_list(float), lambda ws: len(ws) >= 2 and all(map(_positive, ws))
+                and ws[0] != ws[-1], "two or more positive and finite fit windows, "
+                "the first and last different"),
+    "output": (lambda path: path, _writable, "a file path in an existing directory"),
+    # LAB_THREADS may override the configured count, so resolve before checking
+    "parallelism": (lambda n: resolve_parallelism(int(n)), lambda n: n >= 1, "at least 1"),
+}
+
+
+def _parse(key: str, value):
+    cast, ok, need = _KEYS[key]
     try:
-        return cast(config[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key}: {config[key]!r}") from exc
+        parsed = cast(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    if not ok(parsed):
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+    return parsed
 
 
-def _number_list(cast, config, key) -> list:
-    values = config[key]
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
-    try:
-        return [cast(v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key}: {values!r}") from exc
+def _pick(kind: str, pair: tuple) -> tuple:
+    """The entropy and/or fluctuation member of a pair, as kind selects."""
+    return {"entropy": pair[:1], "fluctuation": pair[1:], "both": pair}[kind]
 
 
-def _sizes_from(config) -> list[int]:
-    sizes = config["sizes"]
-    if isinstance(sizes, dict):
-        try:
-            sizes = size_ladder(sizes["lo"], sizes["hi"], sizes["step"],
-                                sizes.get("offset", 0), sizes.get("factor", 1.15))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad sizes ladder: {exc}") from exc
-    else:
-        sizes = _number_list(int, config, "sizes")
-    if not sizes:
-        raise ConfigError("empty size ladder")
-    return sizes
+def _check_size(n_sites, where: str = "") -> None:
+    if n_sites > MAX_SITES:
+        n = n_sites if n_sites < 1e150 else math.inf  # no float overflow on huge ints
+        raise ConfigError(f"{where}n_sites={n:.6g} is above MAX_SITES={MAX_SITES} "
+                          f"(~{17e-9 * n * n:.3g} GB to solve)")
 
 
-def _check_ratios(config) -> list[float]:
-    ratios = _number_list(float, config, "ratios")
-    if not ratios:
-        raise ConfigError("empty ratio grid")
-    if not all(0 < r < math.inf for r in ratios):
-        raise ConfigError("ratios must be positive and finite")
-    return ratios
-
-
-def _check_pairs(kind: str, sizes, region_len, boundary: str = "open",
-                 n_imp: int = 1) -> None:
-    """Config error unless every size places its even/odd pair.
-
-    region_len maps a size to its even subsystem length.  Only the chains
-    are built, so a bad geometry is reported before any solve.
-    """
+def _check_pairs(kind: str, sizes, region_len, boundary: str = "open", n_imp: int = 1) -> None:
+    """Config error unless every size is within MAX_SITES and places its
+    even/odd pair; region_len maps a size to its even subsystem length."""
     for n_sites in sizes:
+        _check_size(n_sites)
         try:
             pair_specs(kind, 1.0, n_sites, region_len(n_sites), boundary, n_imp)
         except ValueError as exc:
             raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
 
 
-def _parallelism(config) -> int:
-    try:
-        return resolve_parallelism(_number(int, config, "parallelism"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+# Planners: each takes a parsed config, checks what its scenario needs across
+# keys, builds every chain it will solve and returns (header, jobs, rows).
+# jobs holds (grid-point label, driver, args); rows(results) turns the
+# drivers' results, in job order, into CSV rows.  A planner raises only
+# ConfigError and never solves.
 
-
-def _value_columns(kind: str) -> list[str]:
-    if kind not in ("entropy", "fluctuation", "both"):
-        raise ConfigError(f"kind must be entropy, fluctuation or both, got {kind!r}")
-    return ["entropy", "fluctuation"] if kind == "both" else [kind]
-
-
-def _run_impurity_sweep(config) -> tuple[list[str], list[tuple]]:
-    ratios = _check_ratios(config)
-    sizes = _sizes_from(config)
-    aspect_den = _number(int, config, "aspect_den")
-    if aspect_den < 2:
-        raise ConfigError(f"aspect_den must be at least 2, got {aspect_den}")
-    boundary = config["boundary"]
-    if boundary not in BOUNDARIES:
-        raise ConfigError(f"boundary must be open or periodic, got {boundary!r}")
+def _plan_impurity_sweep(c):
+    sizes, aspect_den, boundary = c["sizes"], c["aspect_den"], c["boundary"]
     if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
         raise ConfigError("periodic sizes must be 2 mod 4")
     _check_pairs("single", sizes, lambda n: ladder_region(n, aspect_den), boundary)
-    value_cols = _value_columns(config["kind"])
-    parallelism = _parallelism(config)
-
-    rows = []
-    for ratio in ratios:
-        try:
-            if boundary == "open":
-                samples = boundary_sweep("single", ratio, sizes, aspect_den,
-                                         parallelism=parallelism)
-            else:
-                samples = bulk_sweep(ratio, sizes, aspect_den, parallelism=parallelism)
-        except (DegenerateFermiLevelError, np.linalg.LinAlgError) as exc:
-            raise ScenarioError(f"ratio={ratio:g} sizes={sizes[0]}..{sizes[-1]}: {exc}") from exc
-        for s in samples:
-            values = tuple(getattr(s, c) for c in value_cols)
-            rows.append(("impurity-sweep", s.ratio, s.n_sites, s.region_len,
-                         s.parity) + values)
-    return ["scenario", "ratio", "n_sites", "region_len", "parity"] + value_cols, rows
+    span = f"sizes={sizes[0]}..{sizes[-1]}"
+    if boundary == "open":
+        jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
+                      ("single", r, sizes, aspect_den, 1, c["parallelism"]))
+                     for r in c["ratios"])
+    else:
+        jobs = tuple((f"ratio={r:g} {span}", bulk_sweep,
+                      (r, sizes, aspect_den, c["parallelism"])) for r in c["ratios"])
+    return (["scenario", "ratio", "n_sites", "region_len", "parity",
+             *_pick(c["kind"], ("entropy", "fluctuation"))], jobs,
+            lambda sweeps: [("impurity-sweep", s.ratio, s.n_sites, s.region_len, s.parity)
+                            + _pick(c["kind"], (s.entropy, s.fluctuation))
+                            for samples in sweeps for s in samples])
 
 
-def _run_ssh_collapse(config) -> tuple[list[str], list[tuple]]:
-    ratios = _check_ratios(config)
-    sizes = _sizes_from(config)
-    aspect_den = _number(int, config, "aspect_den")
-    if aspect_den < 2:
-        raise ConfigError(f"aspect_den must be at least 2, got {aspect_den}")
-    n_imps = _number_list(int, config, "n_imps")
-    if not n_imps or any(n < 1 or n % 2 == 0 for n in n_imps):
-        raise ConfigError("n_imps must be odd positive integers")
-    parallelism = _parallelism(config)
-    blocks = [("single" if n_imp == 1 else "alternating", n_imp) for n_imp in n_imps]
+def _splitting_jobs(c, blocks, aspect_num: int) -> tuple:
+    """splitting_table jobs, one per (pattern kind, n_imp) block, for fits over sizes."""
+    ratios, sizes, aspect_den = c["ratios"], c["sizes"], c["aspect_den"]
+    if len(sizes) < 2:
+        raise ConfigError("need at least two distinct sizes to extrapolate")
     for kind, n_imp in blocks:
-        _check_pairs(kind, sizes, lambda n: aspect_region(n, 1, aspect_den), n_imp=n_imp)
+        _check_pairs(kind, sizes, lambda n: aspect_region(n, aspect_num, aspect_den),
+                     n_imp=n_imp)
+    return tuple((f"n_imp={n_imp} ratios={list(ratios)} sizes={list(sizes)}", splitting_table,
+                  (kind, ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
+                 for kind, n_imp in blocks)
 
-    rows = []
-    for kind, n_imp in blocks:
-        try:
-            table = splitting_table(kind, ratios, sizes, 1, aspect_den,
-                                    n_imp=n_imp, parallelism=parallelism)
-        except (DegenerateFermiLevelError, ValueError) as exc:
-            raise ScenarioError(f"n_imp={n_imp} sizes={sizes}: {exc}") from exc
-        for ratio in ratios:
-            d_s = extrapolate_inverse(sizes, [table[(ratio, n)][0] for n in sizes])
-            d_f = extrapolate_inverse(sizes, [table[(ratio, n)][1] for n in sizes])
-            rows.append(("ssh-collapse", n_imp, ratio, ratio**n_imp, d_s, d_f))
-    return (["scenario", "n_imp", "ratio", "strength", "delta_entropy",
-             "delta_fluct"], rows)
+
+def _plan_ssh_collapse(c):
+    ratios, sizes = c["ratios"], c["sizes"]
+    blocks = [("single" if n_imp == 1 else "alternating", n_imp) for n_imp in c["n_imps"]]
+
+    def rows(tables):
+        out = []
+        for (_, n_imp), table in zip(blocks, tables):
+            for ratio in ratios:
+                d_s = extrapolate_inverse(sizes, [table[(ratio, n)][0] for n in sizes])
+                d_f = extrapolate_inverse(sizes, [table[(ratio, n)][1] for n in sizes])
+                out.append(("ssh-collapse", n_imp, ratio, ratio**n_imp)
+                           + _pick(c["kind"], (d_s, d_f)))
+        return out
+    return (["scenario", "n_imp", "ratio", "strength",
+             *_pick(c["kind"], ("delta_entropy", "delta_fluct"))],
+            _splitting_jobs(c, blocks, 1), rows)
 
 
 def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[int]:
-    if not all(math.isfinite(v) for v in (x_lo, x_hi, factor)):
-        raise ConfigError(f"x_lo, x_hi and ladder_factor must be finite, "
-                          f"got {x_lo}, {x_hi}, {factor}")
-    if not 0 < x_lo < x_hi:
-        raise ConfigError(f"need 0 < x_lo < x_hi, got {x_lo}, {x_hi}")
-    if factor <= 1.0 or factor > 1.5:
-        raise ConfigError(f"ladder_factor must be in (1, 1.5], got {factor}")
+    r2 = ratio * ratio  # saturates to inf where ratio**2 would raise
+    if x_hi > MAX_SITES * r2:  # before dividing: r2 underflows to 0 below ratio ~1e-162
+        _check_size(x_hi / ratio / ratio, f"ratio={ratio:g} x_hi={x_hi:g}: ")
     sizes = []
     # 8 sites is the smallest chain whose shifted dot still fits
-    x = max(x_lo / ratio**2, 8.0)
-    while x <= x_hi / ratio**2:
+    x = max(x_lo / r2, 8.0)
+    while x <= x_hi / r2:
         n = max(8, 4 * round(x / 4))
         if not sizes or n > sizes[-1]:
             sizes.append(int(n))
@@ -285,90 +299,67 @@ def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[i
     return sizes
 
 
-def _run_dot_crossover(config) -> tuple[list[str], list[tuple]]:
-    ratios = _check_ratios(config)
-    parallelism = _parallelism(config)
-    rows = []
-    for ratio in ratios:
-        sizes = _dot_ladder(ratio, _number(float, config, "x_lo"),
-                            _number(float, config, "x_hi"),
-                            _number(float, config, "ladder_factor"))
-        try:
-            nodes, s_even, s_odd, f_even, f_odd = dot_series(ratio, sizes,
-                                                             parallelism=parallelism)
-        except (DegenerateFermiLevelError, np.linalg.LinAlgError) as exc:
-            raise ScenarioError(f"ratio={ratio:g} sizes={sizes[0]}..{sizes[-1]}: {exc}") from exc
-        curve_s = dot_crossover(nodes, s_even, s_odd, ratio)
-        curve_f = dot_crossover(nodes, f_even, f_odd, ratio)
-        for n, x, ds, df in zip(sizes[1:-1], curve_s.x, curve_s.delta_slope,
-                                curve_f.delta_slope):
-            rows.append(("dot-crossover", ratio, n, x, ds, df))
-    return (["scenario", "ratio", "n_sites", "x", "dslope_entropy",
-             "dslope_fluct"], rows)
+def _plan_dot_crossover(c):
+    x_lo, x_hi = c["x_lo"], c["x_hi"]
+    if not x_lo < x_hi:
+        raise ConfigError(f"need x_lo < x_hi, got {x_lo}, {x_hi}")
+    ladders = {r: tuple(_dot_ladder(r, x_lo, x_hi, c["ladder_factor"])) for r in c["ratios"]}
+    for sizes in ladders.values():
+        # the odd member of a dot pair lives on a chain two sites longer
+        _check_pairs("dot", sizes, lambda n: n // 2)
+        _check_pairs("dot", [n + 2 for n in sizes], lambda n: n // 2 - 1)
+    jobs = tuple((f"ratio={r:g} sizes={s[0]}..{s[-1]}", dot_series,
+                  (r, s, c["parallelism"])) for r, s in ladders.items())
+
+    def rows(dots):
+        out = []
+        for (ratio, sizes), (nodes, s_even, s_odd, f_even, f_odd) in zip(ladders.items(), dots):
+            curve_s = dot_crossover(nodes, s_even, s_odd, ratio)
+            curve_f = dot_crossover(nodes, f_even, f_odd, ratio)
+            for n, x, ds, df in zip(sizes[1:-1], curve_s.x, curve_s.delta_slope,
+                                    curve_f.delta_slope):
+                out.append(("dot-crossover", ratio, n, x) + _pick(c["kind"], (ds, df)))
+        return out
+    return (["scenario", "ratio", "n_sites", "x",
+             *_pick(c["kind"], ("dslope_entropy", "dslope_fluct"))], jobs, rows)
 
 
-def _run_slope_at_unity(config) -> tuple[list[str], list[tuple]]:
-    ratios = _check_ratios(config)
-    sizes = _sizes_from(config)
-    windows = _number_list(float, config, "windows")
-    if len(windows) < 2 or not all(0 < w < math.inf for w in windows):
-        raise ConfigError("need at least two positive finite fit windows")
-    if windows[0] == windows[-1]:
-        raise ConfigError("first and last fit windows must differ")
+def _plan_slope_at_unity(c):
+    windows = c["windows"]
     for w in windows:
-        if len(window_ratios(set(ratios), w)) < 2:
+        if len(window_ratios(c["ratios"], w)) < 2:
             raise ConfigError(f"fit window {w:g} holds fewer than two ratios in [{1 - w:g}, 1]")
-    if len(set(sizes)) < 2:
-        raise ConfigError("need at least two sizes to extrapolate the slopes")
-    aspect_num = _number(int, config, "aspect_num")
-    aspect_den = _number(int, config, "aspect_den")
-    if aspect_num < 1 or aspect_den < 1:
-        raise ConfigError(f"aspect must be positive, got {aspect_num}/{aspect_den}")
-    _check_pairs("single", sizes, lambda n: aspect_region(n, aspect_num, aspect_den))
-    parallelism = _parallelism(config)
-    kinds = _value_columns(config["kind"])
 
-    try:
-        table = splitting_table("single", ratios, sizes, aspect_num, aspect_den,
-                                parallelism=parallelism)
-    except (DegenerateFermiLevelError, ValueError) as exc:
-        raise ScenarioError(f"ratios={ratios} sizes={sizes}: {exc}") from exc
-    rows = []
-    for idx, kind in ((0, "entropy"), (1, "fluctuation")):
-        if kind not in kinds:
-            continue
-        deltas = {key: val[idx] for key, val in table.items()}
-        try:
-            slopes = delta_slope_at_unity(deltas, windows)
-        except ValueError as exc:
-            raise ScenarioError(f"kind={kind}: {exc}") from exc
-        for eps, slope in slopes:
-            rows.append(("slope-at-unity", kind, eps, slope))
-        (w1, s1), (w2, s2) = slopes[0], slopes[-1]
-        rows.append(("slope-at-unity", kind, 0.0, (s2 * w1 - s1 * w2) / (w1 - w2)))
-    return ["scenario", "kind", "window", "slope"], rows
+    def rows(tables):
+        out = []
+        for idx, kind in _pick(c["kind"], ((0, "entropy"), (1, "fluctuation"))):
+            slopes = delta_slope_at_unity({k: v[idx] for k, v in tables[0].items()}, windows)
+            out.extend(("slope-at-unity", kind, eps, slope) for eps, slope in slopes)
+            (w1, s1), (w2, s2) = slopes[0], slopes[-1]
+            out.append(("slope-at-unity", kind, 0.0, (s2 * w1 - s1 * w2) / (w1 - w2)))
+        return out
+    return (["scenario", "kind", "window", "slope"],
+            _splitting_jobs(c, [("single", 1)], c["aspect_num"]), rows)
 
 
-def _run_zero_modes(config) -> tuple[list[str], list[tuple]]:
-    ratio = _number(float, config, "ratio")
-    if not 0 < ratio < math.inf:
-        raise ConfigError("ratio must be positive and finite")
-    lead = _number(int, config, "lead")
-    if lead < 2:
-        raise ConfigError(f"lead must be at least 2 sites, got {lead}")
-    n_imps = _number_list(int, config, "n_imps")
-    if not n_imps or any(n < 1 or n % 2 == 0 for n in n_imps):
-        raise ConfigError("n_imps must be odd positive integers")
-    rows = []
-    for n_imp in n_imps:
-        n_sites = 2 * lead + 2 * n_imp
-        spec = place_pattern(alternating_block(ratio, lead + 1, n_imp), n_sites)
-        try:
-            modes = near_zero_modes(spec)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise ScenarioError(f"n_imp={n_imp} n_sites={n_sites}: {exc}") from exc
-        rows.append(("zero-modes", n_imp, n_sites, ratio, modes.splitting))
-    return ["scenario", "n_imp", "n_sites", "ratio", "splitting"], rows
+def _plan_zero_modes(c):
+    ratio, lead = c["ratio"], c["lead"]
+    chains = {n_imp: 2 * lead + 2 * n_imp for n_imp in c["n_imps"]}
+    _check_size(max(chains.values()))
+    jobs = tuple((f"n_imp={n_imp} n_sites={n_sites}", near_zero_modes,
+                  (place_pattern(alternating_block(ratio, lead + 1, n_imp), n_sites),))
+                 for n_imp, n_sites in chains.items())
+    return (["scenario", "n_imp", "n_sites", "ratio", "splitting"], jobs,
+            lambda modes: [("zero-modes", n_imp, n_sites, ratio, m.splitting)
+                           for (n_imp, n_sites), m in zip(chains.items(), modes)])
+
+
+_CHECK_HEADER = ("check", "value", "reference", "residual", "tolerance", "status")
+
+
+def _plan_theory_check(c):
+    jobs = (("theory-check", theory_check_rows, ()),)
+    return list(_CHECK_HEADER), jobs, lambda results: results[0][1]
 
 
 def theory_check_rows() -> tuple[list[str], list[tuple]]:
@@ -407,7 +398,7 @@ def theory_check_rows() -> tuple[list[str], list[tuple]]:
         residual = abs(value - reference)
         status = "ok" if residual <= tol else "fail"
         rows.append((name, float(value), float(reference), residual, tol, status))
-    return ["check", "value", "reference", "residual", "tolerance", "status"], rows
+    return list(_CHECK_HEADER), rows
 
 
 def _check_exit_code(rows: list[tuple]) -> int:
@@ -419,29 +410,38 @@ def _check_exit_code(rows: list[tuple]) -> int:
     return 3 if failed else 0
 
 
-_RUNNERS = {
-    "impurity-sweep": _run_impurity_sweep,
-    "ssh-collapse": _run_ssh_collapse,
-    "dot-crossover": _run_dot_crossover,
-    "slope-at-unity": _run_slope_at_unity,
-    "theory-check": lambda config: theory_check_rows(),
-    "zero-modes": _run_zero_modes,
+_PLANNERS = {
+    "impurity-sweep": _plan_impurity_sweep,
+    "ssh-collapse": _plan_ssh_collapse,
+    "dot-crossover": _plan_dot_crossover,
+    "slope-at-unity": _plan_slope_at_unity,
+    "theory-check": _plan_theory_check,
+    "zero-modes": _plan_zero_modes,
 }
 
 
-def cmd_run(args) -> int:
-    if args.print_config:
-        if args.print_config not in SCENARIOS:
-            print(f"unknown scenario {args.print_config!r}", file=sys.stderr)
-            return 2
-        print(json.dumps(DEFAULTS[args.print_config], indent=2))
-        return 0
-    if not args.config:
-        print("either a config path or --print-config is required", file=sys.stderr)
-        return 2
+def _execute(jobs, rows) -> list[tuple]:
+    """Run every job in order, then rows; a failure names its grid point."""
+    results = []
     try:
+        for label, driver, args in jobs:
+            results.append(driver(*args))
+        label = "fits"
+        return rows(results)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise ScenarioError(f"{label}: {exc}") from exc
+
+
+def cmd_run(args) -> int:
+    try:
+        if args.print_config:
+            print(json.dumps(DEFAULTS[_parse("scenario", args.print_config)], indent=2))
+            return 0
+        if not args.config:
+            raise ConfigError("either a config path or --print-config is required")
         config = _load_config(args.config)
-        header, rows = _RUNNERS[config["scenario"]](config)
+        header, jobs, rows = _PLANNERS[config["scenario"]](config)
+        rows = _execute(jobs, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import paritylab.cli as cli
+from paritylab import observables, scattering, sweeps
 from paritylab.spectral import DegenerateFermiLevelError
 
 
@@ -64,6 +65,13 @@ def test_run_without_config_is_a_usage_error(capsys):
 
 
 def test_config_errors(tmp_path, capsys, monkeypatch):
+    # every case must be rejected while planning, before any chain is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a config error reached a solve")
+
+    monkeypatch.setattr(sweeps, "diagonalize", no_solve)
+    monkeypatch.setattr(scattering, "diagonalize", no_solve)
+
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
     assert cli.main(["run", str(bad_json)]) == 2
@@ -174,6 +182,41 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert "config error" in capsys.readouterr().err, name
         assert not (tmp_path / f"{name}.csv").exists(), name
 
+    # dot ladders too narrow for their ratio (ratio**2 would overflow for
+    # the second), fits over fewer than two distinct sizes, and a kind no
+    # scenario knows
+    for name, config in (
+            ("dot-narrow", dict(scenario="dot-crossover", ratios=[0.05, 5.0])),
+            ("dot-strong", dict(scenario="dot-crossover", ratios=[1e200])),
+            ("ssh-one-size", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[40])),
+            ("ssh-same-size", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[40, 40])),
+            *((f"kind-{scenario}", dict(scenario=scenario, kind="bogus"))
+              for scenario in ("impurity-sweep", "ssh-collapse", "dot-crossover",
+                               "slope-at-unity"))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
+
+    # chains above MAX_SITES are refused with their size and memory, also
+    # where the dot ladder's ratio**2 underflows or its sizes overflow
+    for name, config in (
+            ("dot-underflow", dict(scenario="dot-crossover", ratios=[1e-200])),
+            ("dot-overflow", dict(scenario="dot-crossover", ratios=[1e-160])),
+            ("dot-huge", dict(scenario="dot-crossover", ratios=[0.001])),
+            ("big-ladder", dict(scenario="impurity-sweep", ratios=[0.8],
+                                sizes={"lo": 9000, "hi": 12000, "step": 20})),
+            ("big-lead", dict(scenario="zero-modes", lead=10**6))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        err = capsys.readouterr().err
+        assert "MAX_SITES" in err and "GB" in err, name
+
+    for output in (None, str(tmp_path / "missing" / "out.csv"), ""):
+        cfg = _write_config(tmp_path / "out.json", scenario="zero-modes", output=output)
+        assert cli.main(["run", cfg]) == 2, output
+        assert "output" in capsys.readouterr().err, output
+    assert not list(tmp_path.glob("*.csv"))
+
 
 def test_impurity_sweep_is_deterministic(tmp_path, capsys):
     common = dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40, 60],
@@ -239,12 +282,75 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise DegenerateFermiLevelError("level crossing at the Fermi energy")
 
-    monkeypatch.setattr(cli, "boundary_sweep", explode)
-    cfg = _write_config(tmp_path / "c.json", scenario="impurity-sweep",
-                        ratios=[0.8], sizes=[40], output="c.csv")
-    assert cli.main(["run", cfg]) == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "boundary_sweep", explode)
+        cfg = _write_config(tmp_path / "c.json", scenario="impurity-sweep",
+                            ratios=[0.8], sizes=[40], output="c.csv")
+        assert cli.main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert "ratio=0.8" in err and "level crossing" in err
+
+    # a failed invariant or a degenerate Fermi level inside any solve is a
+    # numerical failure (exit 3) that names the grid point, in every scenario
+    failures = (DegenerateFermiLevelError("level crossing at the Fermi energy"),
+                ValueError("occupations outside [0, 1]: min -1.000e-03, max 1.000e+00"))
+    for config, label in (
+            (dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40]),
+             "ratio=0.8 sizes=40..40"),
+            (dict(scenario="ssh-collapse", n_imps=[1], ratios=[0.8], sizes=[40, 80]),
+             "n_imp=1 ratios=[0.8] sizes=[40, 80]"),
+            (dict(scenario="dot-crossover", ratios=[0.3], x_lo=0.5, x_hi=10.0,
+                  ladder_factor=1.3), "ratio=0.3 sizes="),
+            (dict(scenario="slope-at-unity", ratios=[0.95, 1.0], sizes=[40, 80]),
+             "n_imp=1 ratios=[0.95, 1.0] sizes=[40, 80]"),
+            (dict(scenario="zero-modes", lead=10, n_imps=[3]), "n_imp=3 n_sites=26")):
+        for failure in failures:
+            def fail(*args, **kwargs):
+                raise failure
+
+            with monkeypatch.context() as patch:
+                if config["scenario"] == "zero-modes":
+                    patch.setattr(scattering, "diagonalize", fail)
+                elif isinstance(failure, DegenerateFermiLevelError):
+                    patch.setattr(sweeps, "diagonalize", fail)
+                else:
+                    patch.setattr(observables, "occupation_spectrum", fail)
+                cfg = _write_config(tmp_path / "f.json", output="f.csv", **config)
+                assert cli.main(["run", cfg]) == 3, (config, failure)
+            err = capsys.readouterr().err
+            assert f"numerical failure at {label}" in err, err
+            assert str(failure) in err, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_repeated_grid_values_are_merged(tmp_path, capsys):
+    common = dict(scenario="impurity-sweep", aspect_den=4)
+    cfg_dup = _write_config(tmp_path / "dup.json", output="dup.csv", ratios=[0.8, 0.8],
+                            sizes=[40, 60, 40], **common)
+    cfg_once = _write_config(tmp_path / "once.json", output="once.csv", ratios=[0.8],
+                             sizes=[40, 60], **common)
+    assert cli.main(["run", cfg_dup]) == 0
+    assert "wrote 4 rows to dup.csv" in capsys.readouterr().out
+    assert cli.main(["run", cfg_once]) == 0
+    assert (tmp_path / "dup.csv").read_bytes() == (tmp_path / "once.csv").read_bytes()
+    assert cli.main(["compare", "dup.csv", "once.csv", "--keys", "ratio,n_sites,parity"]) == 0
+
+
+@pytest.mark.parametrize("config", [
+    dict(scenario="ssh-collapse", n_imps=[1], ratios=[0.8], sizes=[40, 80]),
+    dict(scenario="dot-crossover", ratios=[0.3], x_lo=0.5, x_hi=10.0, ladder_factor=1.3),
+], ids=lambda config: config["scenario"])
+def test_kind_selects_value_columns(tmp_path, config):
+    cfg_both = _write_config(tmp_path / "both.json", output="both.csv", **config)
+    cfg_entropy = _write_config(tmp_path / "entropy.json", output="entropy.csv",
+                                kind="entropy", **config)
+    assert cli.main(["run", cfg_both]) == 0
+    assert cli.main(["run", cfg_entropy]) == 0
+    both = (tmp_path / "both.csv").read_text().splitlines()
+    entropy = (tmp_path / "entropy.csv").read_text().splitlines()
+    # the entropy-only CSV is the full one without its last (fluctuation) column
+    assert both[0].endswith("_fluct") and entropy[0].endswith("_entropy")
+    assert entropy == [line.rsplit(",", 1)[0] for line in both]
 
 
 def test_block_collapses_onto_single_defect_of_same_strength(tmp_path, capsys):
