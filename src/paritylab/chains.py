@@ -14,6 +14,7 @@ pattern can sit exactly at the border of a subsystem.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class ChainSpec:
         Either ``"open"`` or ``"periodic"``.
     modified_bonds : tuple of (int, float)
         Pairs ``(bond_index, ratio)``; the hopping on that bond is
-        ``ratio * J``.  Ratios must be strictly positive, indices unique
+        ``ratio * J``.  Ratios must be positive and finite, indices unique
         and within range.
     hopping : float
         Overall hopping scale J (energy unit), default 1.
@@ -51,16 +52,17 @@ class ChainSpec:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if self.hopping <= 0:
-            raise ValueError("hopping scale must be positive")
+        if not 0 < self.hopping < math.inf:
+            raise ValueError(f"hopping scale must be positive and finite, got {self.hopping}")
         seen = set()
         for bond, ratio in self.modified_bonds:
             if not 1 <= bond <= self.n_bonds:
                 raise ValueError(f"bond {bond} outside 1..{self.n_bonds}")
             if bond in seen:
                 raise ValueError(f"bond {bond} modified twice")
-            if ratio <= 0:
-                raise ValueError(f"bond ratio must be positive, got {ratio}")
+            # LAPACK's bidiagonal SVD never returns on an infinite entry
+            if not 0 < ratio < math.inf:
+                raise ValueError(f"bond ratio must be positive and finite, got {ratio}")
             seen.add(bond)
 
     @property

@@ -91,8 +91,10 @@ DEFAULTS = {
 }
 
 
-# Largest chain a plan may hold.  The open-chain solve peaked at 804 MB
-# (ru_maxrss) at 6900 sites, about 17 L^2 bytes: ~1.7 GB at this bound.
+# Largest chain a plan may hold.  The estimate of ~17 L^2 bytes, ~1.7 GB at
+# this bound, is that of `spectral.diagonalize` (804 MB, ru_maxrss, for an
+# open chain of 6900 sites), which every ring and the zero-modes scan take;
+# half-filled open chains peak lower, at 525 MB for 6900 sites (~10 L^2).
 MAX_SITES = 10_000
 
 

@@ -7,6 +7,10 @@ are mode occupations in [0, 1] and give
     S  = -sum_k [nu_k ln nu_k + (1 - nu_k) ln(1 - nu_k)],
     F  = <N_A^2> - <N_A>^2 = sum_k nu_k (1 - nu_k) = tr G_A - tr G_A^2.
 
+At half filling on a bipartite chain G_A is fixed by its smaller
+sublattice block Q_A (see `spectral.half_filled_block`), whose singular
+values give the same occupations at half the matrix size.
+
 Occupations are clamped away from 0 and 1 before the logarithms; values
 outside [0, 1] beyond numerical noise indicate a broken correlation
 matrix and raise instead of being silently clipped.
@@ -74,7 +78,29 @@ def occupation_spectrum(g_a: np.ndarray) -> np.ndarray:
     ndarray
         Ascending occupations, clamped to [1e-14, 1 - 1e-14].
     """
-    nu = np.linalg.eigvalsh(g_a)
+    return _checked(np.linalg.eigvalsh(g_a))
+
+
+def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
+    """Occupations of a half-filled bipartite region from its sublattice
+    block, validated and clamped like `occupation_spectrum`.
+
+    In sublattice order G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]], whose
+    eigenvalues are 1/2 (1 -+ sigma_i) over the singular values sigma_i of
+    Q_A, plus one mode at exactly 1/2 for each row or column of Q_A beyond
+    its shorter side.
+
+    Returns
+    -------
+    ndarray
+        Ascending occupations, clamped to [1e-14, 1 - 1e-14].
+    """
+    sigma = np.linalg.svd(q_a, compute_uv=False)
+    unpaired = np.full(abs(q_a.shape[0] - q_a.shape[1]), 0.5)
+    return _checked(np.concatenate([0.5 * (1.0 - sigma), unpaired, 0.5 * (1.0 + sigma[::-1])]))
+
+
+def _checked(nu: np.ndarray) -> np.ndarray:
     if nu.min() < -OCCUPATION_ATOL or nu.max() > 1.0 + OCCUPATION_ATOL:
         raise ValueError(
             f"occupations outside [0, 1]: min {nu.min():.3e}, max {nu.max():.3e}"

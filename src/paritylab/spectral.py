@@ -7,7 +7,20 @@ Fermi level must sit in a gap for the filled sea to be unique, so filling
 a degenerate level is treated as an error rather than resolved by an
 arbitrary tie-break.
 
-The solver takes one of three routes, picked from the chain alone:
+Half-filled open chains, the case every parity measurement on an open
+chain asks for, have their own entry point, `half_filled_block`.  An open
+chain with zero on-site energy is bipartite: in (odd sites, even sites)
+order H = [[0, B], [B^T, 0]] with B lower bidiagonal, so the filled sea
+at half filling follows from the singular value decomposition
+B = U Sigma V^T alone.  Then G = (1 - sign H)/2 has diagonal blocks I/2
+and off-diagonal block -U V^T/2 (Golub & Kahan, SIAM J. Numer. Anal. B 2,
+205, 1965; Peschel, J. Phys. A 36, L205, 2003), and a region needs only
+the rows of U and V on its own sites.  LAPACK's bidiagonal
+divide-and-conquer ``dbdsdc`` (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
+16, 79, 1995) solves B at half the size of H.
+
+`diagonalize` returns every orbital, for any filling, taking one of
+three routes picked from the chain alone:
 
 - open chains are tridiagonal and go straight to LAPACK's tridiagonal
   divide-and-conquer eigensolver on the bond hoppings;
@@ -24,15 +37,37 @@ reference for the other two.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dstevd
 
 from .chains import ChainSpec, build_hamiltonian
 
 # Relative gap below which the Fermi level counts as degenerate.
 DEGENERACY_RTOL = 1e-12
+
+
+def _lapack_symbol(name: str):
+    """A LAPACK routine that scipy.linalg.lapack does not wrap, called
+    through the pointer scipy.linalg.cython_lapack exports for it.
+
+    The capsule is looked up under its own name, the C signature, which
+    differs between scipy versions.  Every LAPACK argument is a pointer.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(address)
+
+
+# (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
+_dbdsdc = _lapack_symbol("dbdsdc")
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -87,19 +122,93 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
     numpy.linalg.LinAlgError
         If LAPACK fails; the message names the chain size.
     """
+    n = spec.n_sites
     ratios = spec.bond_ratios()
-    try:
-        if spec.boundary == "open":
-            energies, orbitals = _tridiagonal(np.zeros(spec.n_sites), -spec.hopping * ratios)
-        elif (axis := mirror_axis(ratios)) is not None:
-            energies, orbitals = _mirror_ring(spec.hopping * ratios, axis)
-        else:
+    if spec.boundary == "open":
+        energies, orbitals = _tridiagonal(np.zeros(n), -spec.hopping * ratios, n)
+    elif (axis := mirror_axis(ratios)) is not None:
+        energies, orbitals = _mirror_ring(spec.hopping * ratios, axis)
+    else:
+        try:
             energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed on {spec.n_sites}x{spec.n_sites} chain Hamiltonian: {err}"
-        ) from err
+        except np.linalg.LinAlgError as err:
+            raise _solver_error("eigh", n, err) from err
     return SpectralData(spec=spec, energies=energies, orbitals=orbitals)
+
+
+def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
+    """Sublattice block Q_A of the half-filled correlation matrix of an
+    open chain's first region_len sites.
+
+    With B = U Sigma V^T (module docstring) the region's correlation
+    matrix is, in (odd sites, even sites) order,
+
+        G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]],   Q_A = U[:a] V^T[:, :b],
+
+    where the region holds a = ceil(l/2) odd and b = floor(l/2) even
+    sites.  B has diagonal -J t_{2i-1} and subdiagonal -J t_{2i}, 1-based
+    bonds, over the L/2 odd sites.  ``dbdsdc`` keeps U and V orthonormal
+    to ~1e-14 at L/2 ~ 3000, as ``stevd`` keeps its orbitals (see
+    `diagonalize` for why that matters).
+
+    Returns
+    -------
+    ndarray, shape (ceil(region_len / 2), floor(region_len / 2))
+
+    Raises
+    ------
+    ValueError
+        If the chain is not open, has an odd number of sites, or the
+        region is empty or longer than the chain.
+    DegenerateFermiLevelError
+        If the Fermi gap 2 sigma_min fails `occupy`'s rule against the
+        bandwidth 2 sigma_max.
+    numpy.linalg.LinAlgError
+        If LAPACK fails; the message names the chain size.
+    """
+    if spec.boundary != "open":
+        raise ValueError(f"half_filled_block needs an open chain, got {spec.boundary!r}")
+    n_filled = half_filling(spec)
+    if region_len > spec.n_sites:
+        raise ValueError(f"region ends at site {region_len} but chain has {spec.n_sites}")
+    if region_len < 1:
+        raise ValueError(f"region length must be >= 1, got {region_len}")
+    hoppings = -spec.hopping * spec.bond_ratios()
+    sigma, u, vt, info = _bidiagonal_svd(hoppings[0::2], hoppings[1::2])
+    if info != 0:
+        raise _solver_error("bdsdc", spec.n_sites, f"info={info}")
+    # H has eigenvalues -+sigma, and half filling fills the lower n_filled
+    _check_gap(2.0 * sigma[-1], 2.0 * sigma[0], n_filled, spec.n_sites)
+    return u[:(region_len + 1) // 2] @ vt[:, :region_len // 2]
+
+
+def _bidiagonal_svd(diagonal: np.ndarray, sub_diagonal: np.ndarray):
+    """B = U diag(sigma) V^T of a lower bidiagonal B by LAPACK ``dbdsdc``.
+
+    Returns (sigma, U, V^T, info): sigma descending, U and V^T as
+    Fortran-ordered n x n arrays, and LAPACK's info, nonzero on failure.
+    """
+    n = diagonal.size
+    sigma = np.array(diagonal, dtype=float)
+    e = np.zeros(max(n - 1, 1))
+    e[:n - 1] = sub_diagonal
+    u = np.empty((n, n), order="F")
+    vt = np.empty((n, n), order="F")
+    work = np.empty(3 * n * n + 4 * n)
+    iwork = np.empty(8 * n, dtype=np.intc)
+    size = np.array([n], dtype=np.intc)
+    info = np.zeros(1, dtype=np.intc)
+    unused = np.zeros(1)
+    _dbdsdc(b"L", b"I", size.ctypes.data, sigma.ctypes.data, e.ctypes.data,
+            u.ctypes.data, size.ctypes.data, vt.ctypes.data, size.ctypes.data,
+            unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
+            iwork.ctypes.data, info.ctypes.data)
+    return sigma, u, vt, int(info[0])
+
+
+def _solver_error(routine: str, n_sites: int, detail) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(
+        f"{routine} failed on {n_sites}x{n_sites} chain Hamiltonian: {detail}")
 
 
 def mirror_axis(ratios: np.ndarray) -> int | None:
@@ -131,8 +240,16 @@ def mirror_axis(ratios: np.ndarray) -> int | None:
     return None
 
 
-def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray):
-    return eigh_tridiagonal(diagonal, off_diagonal, lapack_driver="stevd")
+def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray, n_sites: int):
+    """Eigenpairs of a symmetric tridiagonal matrix by LAPACK ``stevd``, for
+    a chain of n_sites (which a mirror sector is part of)."""
+    # the wrapper wants at least one off-diagonal entry even for 1 x 1
+    if off_diagonal.size == 0:
+        off_diagonal = np.zeros(1)
+    energies, orbitals, info = dstevd(diagonal, off_diagonal)
+    if info != 0:
+        raise _solver_error("stevd", n_sites, f"info={info}")
+    return energies, orbitals
 
 
 def _mirror_ring(hoppings: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +279,8 @@ def _mirror_ring(hoppings: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarra
 
     even_energies, even = _tridiagonal(
         -on_axis_bond,
-        -bonds * np.where(on_axis_site[:-1] | on_axis_site[1:], np.sqrt(2.0), 1.0))
-    odd_energies, odd = _tridiagonal(on_axis_bond[pair], -bonds[pair[:-1] & pair[1:]])
+        -bonds * np.where(on_axis_site[:-1] | on_axis_site[1:], np.sqrt(2.0), 1.0), n)
+    odd_energies, odd = _tridiagonal(on_axis_bond[pair], -bonds[pair[:-1] & pair[1:]], n)
 
     n_even = even_energies.size
     orbitals = np.zeros((n, n))
@@ -188,18 +305,22 @@ def occupy(spectral: SpectralData, n_particles: int) -> np.ndarray:
         below DEGENERACY_RTOL times the spectral bandwidth, in which case
         the filled sea is not unique.
     """
-    n = spectral.energies.size
+    energies = spectral.energies
+    n = energies.size
     if not 0 <= n_particles <= n:
         raise ValueError(f"n_particles must be in 0..{n}, got {n_particles}")
     if 0 < n_particles < n:
-        gap = spectral.energies[n_particles] - spectral.energies[n_particles - 1]
-        bandwidth = spectral.energies[-1] - spectral.energies[0]
-        if gap < DEGENERACY_RTOL * max(bandwidth, 1.0):
-            raise DegenerateFermiLevelError(
-                f"levels {n_particles - 1} and {n_particles} degenerate "
-                f"(gap {gap:.3e}); filling {n_particles} of {n} is ambiguous"
-            )
+        _check_gap(energies[n_particles] - energies[n_particles - 1],
+                   energies[-1] - energies[0], n_particles, n)
     return spectral.orbitals[:, :n_particles]
+
+
+def _check_gap(gap: float, bandwidth: float, n_particles: int, n: int) -> None:
+    if gap < DEGENERACY_RTOL * max(bandwidth, 1.0):
+        raise DegenerateFermiLevelError(
+            f"levels {n_particles - 1} and {n_particles} degenerate "
+            f"(gap {gap:.3e}); filling {n_particles} of {n} is ambiguous"
+        )
 
 
 def correlation_matrix(spectral: SpectralData, n_particles: int) -> np.ndarray:

@@ -21,17 +21,23 @@ import numpy as np
 from .chains import (PATTERN_KINDS, ChainSpec, alternating_block, dot_impurity,
                      parity_pair, place_pattern, single_impurity)
 from .fitting import ScalingSample
-from .observables import Region, region_observables
-from .spectral import diagonalize, half_filling, occupy
+from .observables import (Region, charge_fluctuation, entanglement_entropy,
+                          region_observables, sublattice_occupations)
+from .spectral import diagonalize, half_filled_block, half_filling, occupy
 
 
 def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
     """Entropy and number fluctuation of the first region_len sites at
     half filling.
 
-    Only the region's block G_A = phi_A phi_A^T of the correlation matrix
-    is formed, from the region's rows phi_A of the filled orbitals.
+    Open chains take the sublattice block Q_A of the correlation matrix
+    from `half_filled_block`.  On rings only the region's block
+    G_A = phi_A phi_A^T is formed, from the region's rows phi_A of the
+    filled orbitals.
     """
+    if spec.boundary == "open":
+        nu = sublattice_occupations(half_filled_block(spec, region_len))
+        return entanglement_entropy(nu), charge_fluctuation(nu)
     phi_a = occupy(diagonalize(spec), half_filling(spec))[:region_len]
     obs = region_observables(phi_a @ phi_a.T, Region(1, region_len))
     return obs.entropy, obs.fluctuation

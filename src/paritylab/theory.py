@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -33,6 +32,14 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 # The replica-difference kernels are O(h) differences of O(1) terms, so
 # their usable absolute accuracy floor sits near 1e-12.
 _DIFF_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
+
+
+def _quad(f, lo: float, hi: float, opts: dict) -> float:
+    # scipy.integrate loads scipy.optimize, a quarter second that only the
+    # quadrature-based predictions need to pay
+    from scipy import integrate
+
+    return integrate.quad(f, lo, hi, **opts)[0]
 
 
 def dilog(z: float) -> float:
@@ -140,8 +147,8 @@ def _entropy_integral(p: float, sin2: float) -> float:
         w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
         return _entropy_kernel_tail(t, q, p) * w
 
-    lo, _ = integrate.quad(body, 0.0, 1.0, **_DIFF_QUAD_OPTS)
-    hi, _ = integrate.quad(tail, 0.0, 1.0, **_DIFF_QUAD_OPTS)
+    lo = _quad(body, 0.0, 1.0, _DIFF_QUAD_OPTS)
+    hi = _quad(tail, 0.0, 1.0, _DIFF_QUAD_OPTS)
     return lo + hi
 
 
@@ -191,8 +198,8 @@ def fluct_parity_slope(aspect: float) -> float:
         w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
         return math.log1p(t * t) ** 2 / (t * t) * w
 
-    lo, _ = integrate.quad(body, 0.0, 1.0, **_QUAD_OPTS)
-    hi, _ = integrate.quad(tail, 0.0, 1.0, **_QUAD_OPTS)
+    lo = _quad(body, 0.0, 1.0, _QUAD_OPTS)
+    hi = _quad(tail, 0.0, 1.0, _QUAD_OPTS)
     return (lo + hi) / math.pi**3
 
 
@@ -220,8 +227,8 @@ def tabulated_entropy_integral() -> float:
         num = one_minus_x2 + (1.0 + x * x) * math.log1p(-u * u)
         return num / one_minus_x2**2.5 * 2.0 * u
 
-    lo, _ = integrate.quad(lower, 0.0, half, **_QUAD_OPTS)
-    hi, _ = integrate.quad(upper, 0.0, half, **_QUAD_OPTS)
+    lo = _quad(lower, 0.0, half, _QUAD_OPTS)
+    hi = _quad(upper, 0.0, half, _QUAD_OPTS)
     return lo + hi
 
 
@@ -234,8 +241,8 @@ def tabulated_fluct_integral() -> float:
     def tail(t):
         return math.log1p(t * t) ** 2 / (t * t)
 
-    lo, _ = integrate.quad(body, 0.0, 1.0, **_QUAD_OPTS)
-    hi, _ = integrate.quad(tail, 0.0, 1.0, **_QUAD_OPTS)
+    lo = _quad(body, 0.0, 1.0, _QUAD_OPTS)
+    hi = _quad(tail, 0.0, 1.0, _QUAD_OPTS)
     return lo + hi
 
 

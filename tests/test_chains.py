@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ def test_spec_validation():
         ChainSpec(8, "open", ((2, 0.5), (2, 0.7)))
     with pytest.raises(ValueError):
         ChainSpec(8, "open", (), hopping=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(8, "open", ((2, bad),))
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(8, "open", (), hopping=bad)
 
 
 def test_bond_counts():

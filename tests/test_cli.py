@@ -4,7 +4,7 @@ import math
 import pytest
 
 import paritylab.cli as cli
-from paritylab import observables, scattering, sweeps
+from paritylab import scattering, sweeps
 from paritylab.spectral import DegenerateFermiLevelError
 
 
@@ -70,6 +70,7 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         raise AssertionError("a config error reached a solve")
 
     monkeypatch.setattr(sweeps, "diagonalize", no_solve)
+    monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
     monkeypatch.setattr(scattering, "diagonalize", no_solve)
 
     bad_json = tmp_path / "bad.json"
@@ -309,12 +310,13 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
                 raise failure
 
             with monkeypatch.context() as patch:
+                # every sweep scenario here solves open chains at half filling
                 if config["scenario"] == "zero-modes":
                     patch.setattr(scattering, "diagonalize", fail)
                 elif isinstance(failure, DegenerateFermiLevelError):
-                    patch.setattr(sweeps, "diagonalize", fail)
+                    patch.setattr(sweeps, "half_filled_block", fail)
                 else:
-                    patch.setattr(observables, "occupation_spectrum", fail)
+                    patch.setattr(sweeps, "sublattice_occupations", fail)
                 cfg = _write_config(tmp_path / "f.json", output="f.csv", **config)
                 assert cli.main(["run", cfg]) == 3, (config, failure)
             err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import ctypes
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
-                                diagonalize, half_filling, mirror_axis, occupy)
+                                diagonalize, half_filled_block, half_filling,
+                                mirror_axis, occupy)
 from paritylab.sweeps import measure
 
 
@@ -22,10 +24,11 @@ def test_open_chain_spectrum_analytic():
 
 
 def test_ring_spectrum_analytic():
-    n = 12
-    data = diagonalize(homogeneous(n, "periodic"))
-    expected = sorted(-2.0 * math.cos(2.0 * math.pi * m / n) for m in range(n))
-    assert np.allclose(data.energies, expected, atol=1e-12)
+    # the 3-ring's odd mirror sector is a single site
+    for n in (3, 12):
+        data = diagonalize(homogeneous(n, "periodic"))
+        expected = sorted(-2.0 * math.cos(2.0 * math.pi * m / n) for m in range(n))
+        assert np.allclose(data.energies, expected, atol=1e-12)
 
 
 def test_orbitals_orthonormal():
@@ -53,10 +56,13 @@ def test_occupy_rejects_degenerate_fermi_level():
 def test_occupy_rejects_degenerate_fermi_level_on_open_chain():
     # a vanishing middle bond leaves two identical 5-site halves whose
     # zero modes are degenerate at half filling
-    data = diagonalize(ChainSpec(10, "open", ((5, 1e-15),)))
+    spec = ChainSpec(10, "open", ((5, 1e-15),))
+    data = diagonalize(spec)
     with pytest.raises(DegenerateFermiLevelError):
         occupy(data, 5)
     occupy(data, 4)
+    with pytest.raises(DegenerateFermiLevelError):
+        measure(spec, 4)
 
 
 def _random_pattern(rng, n_bonds):
@@ -111,10 +117,28 @@ def _check_against_dense(spec, rng):
         obs = region_observables(correlation_matrix(fast, filling), region)
         assert obs.entropy == pytest.approx(ref.entropy, abs=1e-9)
         assert obs.fluctuation == pytest.approx(ref.fluctuation, abs=1e-9)
-    ref = region_observables(g_dense, regions[0])
-    s, f = measure(spec, regions[0].length)
-    assert s == pytest.approx(ref.entropy, abs=1e-9)
-    assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+    lengths = [regions[0].length]
+    if spec.boundary == "open":
+        _check_sublattice_svd(spec, energies)
+        lengths += [2 * (first // 2) + 1, n]
+        with pytest.raises(ValueError, match=f"chain has {n}"):
+            measure(spec, n + 1)
+    for length in lengths:
+        ref = region_observables(g_dense, Region(1, length))
+        s, f = measure(spec, length)
+        assert s == pytest.approx(ref.entropy, abs=1e-9)
+        assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+
+
+def _check_sublattice_svd(spec, energies):
+    # B couples odd sites (rows) to even sites (columns); H has energies -+sigma
+    hoppings = -spec.hopping * spec.bond_ratios()
+    sigma, u, vt, info = spectral._bidiagonal_svd(hoppings[0::2], hoppings[1::2])
+    assert info == 0
+    n = sigma.size
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 5e-14
+    assert np.abs(vt @ vt.T - np.eye(n)).max() <= 5e-14
+    assert np.abs(sigma[::-1] - energies[n:]).max() <= 1e-9
 
 
 def test_open_chain_route_matches_dense_oracle():
@@ -131,20 +155,31 @@ def test_open_chain_route_matches_dense_oracle():
         _check_against_dense(spec, rng)
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(homogeneous(14), id="open"),
-    pytest.param(homogeneous(14, "periodic"), id="periodic"),
+@pytest.mark.parametrize("spec, solve", [
+    pytest.param(homogeneous(14), diagonalize, id="open"),
+    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7),
+                 id="open-half-filled"),
+    pytest.param(homogeneous(14, "periodic"), diagonalize, id="periodic"),
     # no mirror axis: the dense route
-    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), id="asymmetric-ring"),
+    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), diagonalize,
+                 id="asymmetric-ring"),
 ])
-def test_solver_failure_names_chain_size(spec, monkeypatch):
+def test_solver_failure_names_chain_size(spec, solve, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", fail)
+    def stevd_fails(d, e):
+        return d, np.eye(d.size), 3
+
+    def bdsdc_fails(*pointers):
+        # the last argument points at LAPACK's info
+        ctypes.c_int.from_address(pointers[-1]).value = 3
+
+    monkeypatch.setattr(spectral, "dstevd", stevd_fails)
+    monkeypatch.setattr(spectral, "_dbdsdc", bdsdc_fails)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="14x14 chain"):
-        diagonalize(spec)
+        solve(spec)
 
 
 def test_occupy_bounds():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from paritylab.chains import dot_impurity, place_pattern, single_impurity
+from paritylab.chains import (ChainSpec, dot_impurity, place_pattern,
+                              single_impurity)
+from paritylab.observables import Region, region_observables
+from paritylab.spectral import correlation_matrix, diagonalize
 from paritylab.sweeps import (border_pattern, boundary_sweep, bulk_sweep,
                               dot_series, measure, pair_samples,
                               resolve_parallelism, size_ladder,
@@ -32,6 +35,22 @@ def test_pair_samples_against_direct_measurement():
     assert (odd.entropy, odd.fluctuation) == (s, f)
     with pytest.raises(ValueError):
         pair_samples("single", 0.7, 40, 13)
+
+
+def test_measure_open_chain_regions():
+    # the sublattice route against the orbital route, any region length
+    spec = place_pattern(dot_impurity(0.4, 20), 46)
+    g = correlation_matrix(diagonalize(spec), 23)
+    for length in (1, 2, 19, 20, 21, 45, 46):
+        ref = region_observables(g, Region(1, length))
+        s, f = measure(spec, length)
+        assert s == pytest.approx(ref.entropy, abs=1e-12), length
+        assert f == pytest.approx(ref.fluctuation, abs=1e-12), length
+    for length in (0, 47):
+        with pytest.raises(ValueError):
+            measure(spec, length)
+    with pytest.raises(ValueError, match="even n_sites"):
+        measure(ChainSpec(45), 10)
 
 
 def test_size_ladder():
