@@ -25,7 +25,7 @@ from .chains import BOUNDARIES, alternating_block, place_pattern
 from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
-from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_series,
+from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_pair, dot_series,
                      ladder_region, pair_specs, resolve_parallelism, size_ladder,
                      splitting_table)
 from .theory import (dilog, effective_central_charge,
@@ -189,7 +189,9 @@ _KEYS = {
                 "the first and last different"),
     "output": (lambda path: path, _writable, "a file path in an existing directory"),
     # LAB_THREADS may override the configured count, so resolve before checking
-    "parallelism": (lambda n: resolve_parallelism(int(n)), lambda n: n >= 1, "at least 1"),
+    "parallelism": (lambda n: resolve_parallelism(int(n)),
+                    lambda n: n <= (os.cpu_count() or 1),
+                    "at most os.cpu_count() after any LAB_THREADS override"),
 }
 
 
@@ -216,15 +218,16 @@ def _check_size(n_sites, where: str = "") -> None:
                           f"(~{17e-9 * n * n:.3g} GB to solve)")
 
 
-def _check_pairs(kind: str, sizes, region_len, boundary: str = "open", n_imp: int = 1) -> None:
-    """Config error unless every size is within MAX_SITES and places its
-    even/odd pair; region_len maps a size to its even subsystem length."""
+def _check_pairs(sizes, build) -> None:
+    """Config error unless build(n_sites) places the chains of every size,
+    each within MAX_SITES."""
     for n_sites in sizes:
         _check_size(n_sites)
         try:
-            pair_specs(kind, 1.0, n_sites, region_len(n_sites), boundary, n_imp)
+            chains = build(n_sites)
         except ValueError as exc:
             raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
+        _check_size(max(spec.n_sites for spec in chains))
 
 
 # Planners: each takes a parsed config, checks what its scenario needs across
@@ -237,7 +240,8 @@ def _plan_impurity_sweep(c):
     sizes, aspect_den, boundary = c["sizes"], c["aspect_den"], c["boundary"]
     if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
         raise ConfigError("periodic sizes must be 2 mod 4")
-    _check_pairs("single", sizes, lambda n: ladder_region(n, aspect_den), boundary)
+    _check_pairs(sizes, lambda n: pair_specs("single", 1.0, n, ladder_region(n, aspect_den),
+                                             boundary))
     span = f"sizes={sizes[0]}..{sizes[-1]}"
     if boundary == "open":
         jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
@@ -259,8 +263,8 @@ def _splitting_jobs(c, blocks, aspect_num: int) -> tuple:
     if len(sizes) < 2:
         raise ConfigError("need at least two distinct sizes to extrapolate")
     for kind, n_imp in blocks:
-        _check_pairs(kind, sizes, lambda n: aspect_region(n, aspect_num, aspect_den),
-                     n_imp=n_imp)
+        _check_pairs(sizes, lambda n: pair_specs(
+            kind, 1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp))
     return tuple((f"n_imp={n_imp} ratios={list(ratios)} sizes={list(sizes)}", splitting_table,
                   (kind, ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
                  for kind, n_imp in blocks)
@@ -307,9 +311,7 @@ def _plan_dot_crossover(c):
         raise ConfigError(f"need x_lo < x_hi, got {x_lo}, {x_hi}")
     ladders = {r: tuple(_dot_ladder(r, x_lo, x_hi, c["ladder_factor"])) for r in c["ratios"]}
     for sizes in ladders.values():
-        # the odd member of a dot pair lives on a chain two sites longer
-        _check_pairs("dot", sizes, lambda n: n // 2)
-        _check_pairs("dot", [n + 2 for n in sizes], lambda n: n // 2 - 1)
+        _check_pairs(sizes, lambda n: dot_pair(1.0, n))
     jobs = tuple((f"ratio={r:g} sizes={s[0]}..{s[-1]}", dot_series,
                   (r, s, c["parallelism"])) for r, s in ladders.items())
 

@@ -7,9 +7,11 @@ are mode occupations in [0, 1] and give
     S  = -sum_k [nu_k ln nu_k + (1 - nu_k) ln(1 - nu_k)],
     F  = <N_A^2> - <N_A>^2 = sum_k nu_k (1 - nu_k) = tr G_A - tr G_A^2.
 
-At half filling on a bipartite chain G_A is fixed by its smaller
-sublattice block Q_A (see `spectral.half_filled_block`), whose singular
-values give the same occupations at half the matrix size.
+At half filling on a chain of even length, open or ring, G_A is fixed by
+its sublattice block Q_A (`spectral.half_filled_block`), whose singular
+values give the same occupations at half the matrix size; every sweep
+takes this route, `sublattice_occupations`.  `region_observables` is the
+general route, for any region at any filling, and the reference for it.
 
 Occupations are clamped away from 0 and 1 before the logarithms; values
 outside [0, 1] beyond numerical noise indicate a broken correlation

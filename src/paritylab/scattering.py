@@ -19,6 +19,7 @@ import numpy as np
 
 from .chains import PARITIES, ChainSpec
 from .spectral import diagonalize
+from .theory import transmission_coefficient
 
 
 def effective_strength(ratios: Sequence[float]) -> float:
@@ -72,7 +73,7 @@ def phase_shift(strength: float, anchor_parity: str = "even") -> PhaseShiftData:
     sign = 1.0 if anchor_parity == "even" else -1.0
     return PhaseShiftData(
         strength=strength,
-        transmission=2.0 * strength / (1.0 + strength * strength),
+        transmission=transmission_coefficient(strength),
         shift=sign * magnitude,
         anchor_parity=anchor_parity,
     )

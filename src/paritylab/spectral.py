@@ -7,17 +7,17 @@ Fermi level must sit in a gap for the filled sea to be unique, so filling
 a degenerate level is treated as an error rather than resolved by an
 arbitrary tie-break.
 
-Half-filled open chains, the case every parity measurement on an open
-chain asks for, have their own entry point, `half_filled_block`.  An open
-chain with zero on-site energy is bipartite: in (odd sites, even sites)
-order H = [[0, B], [B^T, 0]] with B lower bidiagonal, so the filled sea
-at half filling follows from the singular value decomposition
-B = U Sigma V^T alone.  Then G = (1 - sign H)/2 has diagonal blocks I/2
-and off-diagonal block -U V^T/2 (Golub & Kahan, SIAM J. Numer. Anal. B 2,
-205, 1965; Peschel, J. Phys. A 36, L205, 2003), and a region needs only
-the rows of U and V on its own sites.  LAPACK's bidiagonal
-divide-and-conquer ``dbdsdc`` (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
-16, 79, 1995) solves B at half the size of H.
+Half filling, which every parity measurement asks for, has its own entry
+point, `half_filled_block`.  A chain of even length is bipartite: in (odd
+sites, even sites) order H = [[0, B], [B^T, 0]], so G = (1 - sign H)/2
+has diagonal blocks I/2 and off-diagonal block -Q/2 (Peschel, J. Phys. A
+36, L205, 2003), and a region is fixed by its own sublattice block Q_A.
+On an open chain B is lower bidiagonal and Q = U V^T follows from
+B = U Sigma V^T alone (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205,
+1965), which LAPACK's bidiagonal divide-and-conquer ``dbdsdc`` (Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79, 1995) finds at half the
+size of H.  A ring's B has one corner element more, and its Q_A is read
+off the filled orbitals of `diagonalize`.
 
 `diagonalize` returns every orbital, for any filling, taking one of
 three routes picked from the chain alone:
@@ -137,19 +137,18 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
 
 
 def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
-    """Sublattice block Q_A of the half-filled correlation matrix of an
-    open chain's first region_len sites.
+    """Sublattice block Q_A of the half-filled correlation matrix of a
+    chain's first region_len sites, a = ceil(l/2) odd and b = floor(l/2)
+    even ones: G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]] in (odd sites, even
+    sites) order (module docstring).  Two routes, picked from the chain:
 
-    With B = U Sigma V^T (module docstring) the region's correlation
-    matrix is, in (odd sites, even sites) order,
-
-        G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]],   Q_A = U[:a] V^T[:, :b],
-
-    where the region holds a = ceil(l/2) odd and b = floor(l/2) even
-    sites.  B has diagonal -J t_{2i-1} and subdiagonal -J t_{2i}, 1-based
-    bonds, over the L/2 odd sites.  ``dbdsdc`` keeps U and V orthonormal
-    to ~1e-14 at L/2 ~ 3000, as ``stevd`` keeps its orbitals (see
-    `diagonalize` for why that matters).
+    - open chains: Q_A = U[:a] V^T[:, :b] with B = U Sigma V^T.  B has
+      diagonal -J t_{2i-1} and subdiagonal -J t_{2i}, 1-based bonds, over
+      the L/2 odd sites.  ``dbdsdc`` keeps U and V orthonormal to ~1e-14
+      at L/2 ~ 3000, as ``stevd`` keeps its orbitals (see `diagonalize`
+      for why that matters);
+    - rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's rows
+      phi_A of the filled orbitals of `diagonalize`.
 
     Returns
     -------
@@ -158,21 +157,21 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the chain is not open, has an odd number of sites, or the
-        region is empty or longer than the chain.
+        If the chain has an odd number of sites, or the region is empty
+        or longer than the chain.
     DegenerateFermiLevelError
-        If the Fermi gap 2 sigma_min fails `occupy`'s rule against the
-        bandwidth 2 sigma_max.
+        If the Fermi gap, 2 sigma_min on open chains, fails `occupy`'s rule.
     numpy.linalg.LinAlgError
         If LAPACK fails; the message names the chain size.
     """
-    if spec.boundary != "open":
-        raise ValueError(f"half_filled_block needs an open chain, got {spec.boundary!r}")
     n_filled = half_filling(spec)
     if region_len > spec.n_sites:
         raise ValueError(f"region ends at site {region_len} but chain has {spec.n_sites}")
     if region_len < 1:
         raise ValueError(f"region length must be >= 1, got {region_len}")
+    if spec.boundary != "open":
+        phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
+        return -2.0 * phi_a[0::2] @ phi_a[1::2].T
     hoppings = -spec.hopping * spec.bond_ratios()
     sigma, u, vt, info = _bidiagonal_svd(hoppings[0::2], hoppings[1::2])
     if info != 0:

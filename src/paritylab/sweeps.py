@@ -1,12 +1,13 @@
 """Grid drivers: from defect geometries to parity-paired measurements.
 
 Every routine here builds chains at half filling, measures subsystem
-entropy and number fluctuation, and labels the results by subsystem
-parity.  The even member of a pair has an even subsystem with the defect
-pattern at its border; the odd member shifts pattern and border together
-by one site.  Grids are expressed as ladders of total sizes, rounded to
-whatever congruence the geometry needs (even subsystems for the even
-member, rings of size 2 mod 4 to keep the Fermi level non-degenerate).
+entropy and number fluctuation through `measure`, the one route for open
+chains and rings, and labels the results by subsystem parity.  The even
+member of a pair has an even subsystem with the defect pattern at its
+border; the odd member shifts pattern and border together by one site.
+Grids are expressed as ladders of total sizes, rounded to whatever
+congruence the geometry needs (even subsystems for the even member, rings
+of size 2 mod 4 to keep the Fermi level non-degenerate).
 """
 
 from __future__ import annotations
@@ -21,26 +22,16 @@ import numpy as np
 from .chains import (PATTERN_KINDS, ChainSpec, alternating_block, dot_impurity,
                      parity_pair, place_pattern, single_impurity)
 from .fitting import ScalingSample
-from .observables import (Region, charge_fluctuation, entanglement_entropy,
-                          region_observables, sublattice_occupations)
-from .spectral import diagonalize, half_filled_block, half_filling, occupy
+from .observables import charge_fluctuation, entanglement_entropy, sublattice_occupations
+from .spectral import half_filled_block
 
 
 def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
     """Entropy and number fluctuation of the first region_len sites at
-    half filling.
-
-    Open chains take the sublattice block Q_A of the correlation matrix
-    from `half_filled_block`.  On rings only the region's block
-    G_A = phi_A phi_A^T is formed, from the region's rows phi_A of the
-    filled orbitals.
-    """
-    if spec.boundary == "open":
-        nu = sublattice_occupations(half_filled_block(spec, region_len))
-        return entanglement_entropy(nu), charge_fluctuation(nu)
-    phi_a = occupy(diagonalize(spec), half_filling(spec))[:region_len]
-    obs = region_observables(phi_a @ phi_a.T, Region(1, region_len))
-    return obs.entropy, obs.fluctuation
+    half filling, from the region's sublattice block Q_A
+    (`spectral.half_filled_block`)."""
+    nu = sublattice_occupations(half_filled_block(spec, region_len))
+    return entanglement_entropy(nu), charge_fluctuation(nu)
 
 
 def border_pattern(kind: str, ratio: float, region_len: int, n_imp: int = 1):
@@ -182,27 +173,33 @@ def splitting_table(kind: str, ratios: Sequence[float], sizes: Sequence[int],
             for key, (even, odd) in zip(keys, pairs)}
 
 
+def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
+    """Even/odd chains of a half-chain dot, built without solving: n_sites
+    sites with the dot bonds at (ell, ell + 1), ell = n_sites/2, and one
+    site more on each side of the cut.  Raises ``ValueError`` unless
+    n_sites is 0 mod 4 and places the dot."""
+    if n_sites % 4 != 0:
+        raise ValueError(f"dot series needs sizes 0 mod 4, got {n_sites}")
+    ell = n_sites // 2
+    even, _ = pair_specs("dot", ratio, n_sites, ell)
+    _, odd = pair_specs("dot", ratio, n_sites + 2, ell)
+    return even, odd
+
+
 def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Half-chain observables around a centered weak dot, by parity.
 
-    The even member is (n_sites, ell = n_sites/2) with the dot bonds at
-    (ell, ell + 1); the odd member adds one site on each side of the cut
-    (n_sites + 2 sites, ell + 1 in the subsystem), keeping the geometry of
-    the cut.  Only these two chains are solved.  Both members of a pair
-    share the node ln(n_sites + 1).
+    Each size solves only the two chains of `dot_pair`, with subsystems of
+    n_sites/2 and n_sites/2 + 1 sites, which share the node ln(n_sites + 1).
 
     Returns
     -------
     (nodes, entropy_even, entropy_odd, fluct_even, fluct_odd)
         Arrays over the size ladder; nodes hold ln(n_sites + 1).
     """
-    tasks = []
-    for n_sites in sizes:
-        if n_sites % 4 != 0:
-            raise ValueError(f"dot series needs sizes 0 mod 4, got {n_sites}")
-        tasks.append((ratio, n_sites, n_sites // 2))
-    pairs = _run(_pair_for_dot, tasks, parallelism)
+    tasks = [dot_pair(ratio, n_sites) for n_sites in sizes]
+    pairs = _run(_measure_dot_pair, tasks, parallelism)
     nodes = np.log(np.asarray(sizes, dtype=float) + 1.0)
     se = np.array([even[0] for even, _ in pairs])
     so = np.array([odd[0] for _, odd in pairs])
@@ -211,10 +208,8 @@ def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
     return nodes, se, so, fe, fo
 
 
-def _pair_for_dot(ratio, n_sites, ell):
-    # odd member of a dot pair lives on a chain two sites longer
-    even, _ = pair_specs("dot", ratio, n_sites, ell)
-    _, odd = pair_specs("dot", ratio, n_sites + 2, ell)
+def _measure_dot_pair(even: ChainSpec, odd: ChainSpec):
+    ell = even.n_sites // 2
     return measure(even, ell), measure(odd, ell + 1)
 
 
@@ -236,6 +231,7 @@ def _run(fn: Callable, tasks: Iterable[tuple], parallelism: int) -> list:
     parallelism = resolve_parallelism(parallelism)
     if parallelism == 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    # the pool starts every worker at once, so start no idle ones
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
         futures = [pool.submit(fn, *t) for t in tasks]
         return [f.result() for f in futures]

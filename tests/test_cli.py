@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -69,7 +70,6 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a config error reached a solve")
 
-    monkeypatch.setattr(sweeps, "diagonalize", no_solve)
     monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
     monkeypatch.setattr(scattering, "diagonalize", no_solve)
 
@@ -141,6 +141,17 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
                         ratios=[0.8], sizes=[40], parallelism=0)
     assert cli.main(["run", cfg]) == 2
     assert "parallelism" in capsys.readouterr().err
+    # more workers than cores is refused before the pool forks any of them
+    too_many = (os.cpu_count() or 1) + 1
+    cfg = _write_config(tmp_path / "cores.json", output="cores.csv", scenario="impurity-sweep",
+                        ratios=[0.8], sizes=[40, 80], parallelism=too_many)
+    assert cli.main(["run", cfg]) == 2
+    assert "cpu_count" in capsys.readouterr().err
+    monkeypatch.setenv("LAB_THREADS", str(too_many))
+    cfg = _write_config(tmp_path / "env.json", output="env.csv", scenario="dot-crossover",
+                        ratios=[0.2])
+    assert cli.main(["run", cfg]) == 2
+    assert "LAB_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("LAB_THREADS", "two")
     cfg = _write_config(tmp_path / "env.json", output="env.csv", scenario="dot-crossover",
                         ratios=[0.2])
@@ -298,6 +309,8 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
     for config, label in (
             (dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40]),
              "ratio=0.8 sizes=40..40"),
+            (dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8], sizes=[42]),
+             "ratio=0.8 sizes=42..42"),
             (dict(scenario="ssh-collapse", n_imps=[1], ratios=[0.8], sizes=[40, 80]),
              "n_imp=1 ratios=[0.8] sizes=[40, 80]"),
             (dict(scenario="dot-crossover", ratios=[0.3], x_lo=0.5, x_hi=10.0,
@@ -310,7 +323,7 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
                 raise failure
 
             with monkeypatch.context() as patch:
-                # every sweep scenario here solves open chains at half filling
+                # every sweep scenario here, open or ring, solves at half filling
                 if config["scenario"] == "zero-modes":
                     patch.setattr(scattering, "diagonalize", fail)
                 elif isinstance(failure, DegenerateFermiLevelError):

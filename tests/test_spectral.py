@@ -117,17 +117,16 @@ def _check_against_dense(spec, rng):
         obs = region_observables(correlation_matrix(fast, filling), region)
         assert obs.entropy == pytest.approx(ref.entropy, abs=1e-9)
         assert obs.fluctuation == pytest.approx(ref.fluctuation, abs=1e-9)
-    lengths = [regions[0].length]
     if spec.boundary == "open":
         _check_sublattice_svd(spec, energies)
-        lengths += [2 * (first // 2) + 1, n]
-        with pytest.raises(ValueError, match=f"chain has {n}"):
-            measure(spec, n + 1)
-    for length in lengths:
+    # an odd region has one unpaired mode at 1/2
+    for length in (regions[0].length, 2 * (first // 2) + 1, n):
         ref = region_observables(g_dense, Region(1, length))
         s, f = measure(spec, length)
         assert s == pytest.approx(ref.entropy, abs=1e-9)
         assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+    with pytest.raises(ValueError, match=f"chain has {n}"):
+        measure(spec, n + 1)
 
 
 def _check_sublattice_svd(spec, energies):
@@ -160,6 +159,8 @@ def test_open_chain_route_matches_dense_oracle():
     pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7),
                  id="open-half-filled"),
     pytest.param(homogeneous(14, "periodic"), diagonalize, id="periodic"),
+    pytest.param(homogeneous(14, "periodic"), lambda spec: half_filled_block(spec, 7),
+                 id="periodic-half-filled"),
     # no mirror axis: the dense route
     pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), diagonalize,
                  id="asymmetric-ring"),

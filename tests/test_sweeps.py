@@ -1,12 +1,15 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from paritylab import sweeps
 from paritylab.chains import (ChainSpec, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize
 from paritylab.sweeps import (border_pattern, boundary_sweep, bulk_sweep,
-                              dot_series, measure, pair_samples,
+                              dot_pair, dot_series, measure, pair_samples,
                               resolve_parallelism, size_ladder,
                               splitting_table)
 
@@ -107,6 +110,8 @@ def test_splitting_table():
 
 
 def test_dot_series_geometry():
+    assert dot_pair(0.3, 16) == (place_pattern(dot_impurity(0.3, 8), 16),
+                                 place_pattern(dot_impurity(0.3, 9), 18))
     nodes, se, so, fe, fo = dot_series(0.3, [16, 24])
     assert np.allclose(nodes, np.log([17.0, 25.0]))
     s, f = measure(place_pattern(dot_impurity(0.3, 8), 16), 8)
@@ -114,7 +119,7 @@ def test_dot_series_geometry():
     # odd member re-centers the dot on a chain two sites longer
     s, f = measure(place_pattern(dot_impurity(0.3, 9), 18), 9)
     assert (so[0], fo[0]) == (s, f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="0 mod 4"):
         dot_series(0.3, [18])
 
 
@@ -137,3 +142,29 @@ def test_parallel_results_match_serial(monkeypatch):
     parallel = boundary_sweep("single", 0.8, [24, 32], aspect_den=4,
                               parallelism=2)
     assert parallel == serial
+
+
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # records the pool's size and runs its tasks in this process
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.delenv("LAB_THREADS", raising=False)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    pooled = boundary_sweep("single", 0.8, [24, 32], aspect_den=4, parallelism=5000)
+    assert started == [2]
+    assert pooled == boundary_sweep("single", 0.8, [24, 32], aspect_den=4)
