@@ -93,8 +93,12 @@ DEFAULTS = {
 
 # Largest chain a plan may hold.  The estimate of ~17 L^2 bytes, ~1.7 GB at
 # this bound, is that of `spectral.diagonalize` (804 MB, ru_maxrss, for an
-# open chain of 6900 sites), which every ring and the zero-modes scan take;
-# half-filled open chains peak lower, at 525 MB for 6900 sites (~10 L^2).
+# open chain of 6900 sites), which the zero-modes scan and rings without a
+# bond-centred mirror axis take.  Half-filled chains peak lower: open ones
+# at 525 MB for 6900 sites (~10 L^2), and bond-centred rings, every ring a
+# sweep plans, solve one mirror sector of L/2 sites ((L/2)^2 doubles of
+# eigenvectors and as many of `stevd` work), 208 MB for 6002 sites, of
+# which 60 MB is the imported interpreter (~4 L^2).
 MAX_SITES = 10_000
 
 
@@ -149,10 +153,19 @@ def _list(cast, merge=False):
     return parse
 
 
+def _integer(value) -> int:
+    """A JSON integer as it stands: a float, string or boolean is refused,
+    not rounded or parsed into one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
 def _sizes(value):
     if isinstance(value, dict):
-        return tuple(size_ladder(**value))
-    return _list(int, merge=True)(value)
+        return tuple(size_ladder(**{key: v if key == "factor" else _integer(v)
+                                    for key, v in value.items()}))
+    return _list(_integer, merge=True)(value)
 
 
 def _positive(x) -> bool:
@@ -175,11 +188,11 @@ _KEYS = {
     "ratios": (_list(float, merge=True), lambda rs: rs and all(map(_positive, rs)),
                "a non-empty list of positive and finite ratios"),
     "sizes": (_sizes, bool, "a non-empty list or ladder of sizes"),
-    "n_imps": (_list(int, merge=True), lambda ns: ns and all(n > 0 and n % 2 for n in ns),
+    "n_imps": (_list(_integer, merge=True), lambda ns: ns and all(n > 0 and n % 2 for n in ns),
                "a non-empty list of odd positive integers"),
-    "aspect_num": (int, lambda n: n >= 1, "at least 1"),
-    "aspect_den": (int, lambda n: n >= 2, "at least 2"),
-    "lead": (int, lambda n: n >= 2, "at least 2 sites"),
+    "aspect_num": (_integer, lambda n: n >= 1, "at least 1"),
+    "aspect_den": (_integer, lambda n: n >= 2, "at least 2"),
+    "lead": (_integer, lambda n: n >= 2, "at least 2 sites"),
     "x_lo": (float, _positive, "positive and finite"),
     "x_hi": (float, _positive, "positive and finite"),
     "ladder_factor": (float, lambda f: 1.0 < f <= 1.5, "in (1, 1.5]"),
@@ -189,7 +202,7 @@ _KEYS = {
                 "the first and last different"),
     "output": (lambda path: path, _writable, "a file path in an existing directory"),
     # LAB_THREADS may override the configured count, so resolve before checking
-    "parallelism": (lambda n: resolve_parallelism(int(n)),
+    "parallelism": (lambda n: resolve_parallelism(_integer(n)),
                     lambda n: n <= (os.cpu_count() or 1),
                     "at most os.cpu_count() after any LAB_THREADS override"),
 }

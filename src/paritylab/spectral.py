@@ -16,8 +16,13 @@ On an open chain B is lower bidiagonal and Q = U V^T follows from
 B = U Sigma V^T alone (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205,
 1965), which LAPACK's bidiagonal divide-and-conquer ``dbdsdc`` (Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79, 1995) finds at half the
-size of H.  A ring's B has one corner element more, and its Q_A is read
-off the filled orbitals of `diagonalize`.
+size of H.  A ring's B has one corner element more.  Every ring a sweep
+plans has a mirror axis through two bonds (see `mirror_axis`), and there
+the sublattice sign S = diag((-1)^j), which flips H, also flips the
+reflection, so it maps the even mirror sector onto the odd one with every
+energy negated.  Q_A then follows from the eigenpairs of the even sector
+alone, a tridiagonal chain of L/2 sites.  Other rings read Q_A off the
+filled orbitals of `diagonalize`.
 
 `diagonalize` returns every orbital, for any filling, taking one of
 three routes picked from the chain alone:
@@ -147,8 +152,12 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
       the L/2 odd sites.  ``dbdsdc`` keeps U and V orthonormal to ~1e-14
       at L/2 ~ 3000, as ``stevd`` keeps its orbitals (see `diagonalize`
       for why that matters);
-    - rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's rows
-      phi_A of the filled orbitals of `diagonalize`.
+    - rings whose mirror axis runs through two bonds (odd axis c, as on
+      every ring a sweep plans): Q_A = V[r_odd] diag(sign E) V[r_even]^T
+      from the eigenpairs (E, V) of the even mirror sector alone, where
+      r maps each region site to its orbit's row (`_bond_axis_block`);
+    - other rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's
+      rows phi_A of the filled orbitals of `diagonalize`.
 
     Returns
     -------
@@ -160,7 +169,8 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         If the chain has an odd number of sites, or the region is empty
         or longer than the chain.
     DegenerateFermiLevelError
-        If the Fermi gap, 2 sigma_min on open chains, fails `occupy`'s rule.
+        If the Fermi gap, 2 sigma_min on open chains and 2 min |E| on
+        bond-axis rings, fails `occupy`'s rule.
     numpy.linalg.LinAlgError
         If LAPACK fails; the message names the chain size.
     """
@@ -169,16 +179,45 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         raise ValueError(f"region ends at site {region_len} but chain has {spec.n_sites}")
     if region_len < 1:
         raise ValueError(f"region length must be >= 1, got {region_len}")
+    ratios = spec.bond_ratios()
     if spec.boundary != "open":
+        axis = mirror_axis(ratios)
+        if axis is not None and axis % 2:
+            return _bond_axis_block(spec.hopping * ratios, axis, region_len)
         phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
         return -2.0 * phi_a[0::2] @ phi_a[1::2].T
-    hoppings = -spec.hopping * spec.bond_ratios()
+    hoppings = -spec.hopping * ratios
     sigma, u, vt, info = _bidiagonal_svd(hoppings[0::2], hoppings[1::2])
     if info != 0:
         raise _solver_error("bdsdc", spec.n_sites, f"info={info}")
     # H has eigenvalues -+sigma, and half filling fills the lower n_filled
     _check_gap(2.0 * sigma[-1], 2.0 * sigma[0], n_filled, spec.n_sites)
     return u[:(region_len + 1) // 2] @ vt[:, :region_len // 2]
+
+
+def _bond_axis_block(hoppings: np.ndarray, axis: int, region_len: int) -> np.ndarray:
+    """Q_A of a half-filled ring of even length L whose mirror axis c is
+    odd, from the even mirror sector alone.
+
+    Odd c puts an on-axis bond at both ends of the half-arc and no site on
+    the axis.  With R the reflection and S = diag((-1)^j), SHS = -H and
+    SRS = (-1)^c R = -R, so S maps each even-sector orbital v_k (energy
+    E_k) onto an odd-sector one of energy -E_k.  Half filling takes v_k
+    where E_k < 0 and S v_k where E_k > 0; both unfold with weight
+    1/sqrt(2) onto the two sites of each orbit, and on the odd-even block
+    of sign H, which is Q, their terms add to v_k v_k^T sign(E_k).
+    """
+    n = hoppings.size
+    sites, mirror, on_axis_bond = _mirror_orbits(hoppings, axis)
+    energies, orbitals = _tridiagonal(-on_axis_bond, -hoppings[sites[:-1]], n)
+    # H has eigenvalues -+|E_k|, and half filling fills the lower L/2
+    magnitudes = np.abs(energies)
+    _check_gap(2.0 * magnitudes.min(), 2.0 * magnitudes.max(), n // 2, n)
+    row = np.empty(n, dtype=np.intp)
+    row[sites] = np.arange(sites.size)
+    row[mirror] = np.arange(sites.size)
+    rows = row[:region_len]
+    return (orbitals[rows[0::2]] * np.sign(energies)) @ orbitals[rows[1::2]].T
 
 
 def _bidiagonal_svd(diagonal: np.ndarray, sub_diagonal: np.ndarray):
@@ -251,29 +290,45 @@ def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray, n_sites: int):
     return energies, orbitals
 
 
-def _mirror_ring(hoppings: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a ring symmetric under j -> (axis - j) mod L.
+def _mirror_orbits(hoppings: np.ndarray, axis: int):
+    """Orbits of the reflection j -> (axis - j) mod L of a ring.
 
     Sites lying at half-positions axis..axis+L (site j at 2j, bond b's
     midpoint at 2b+1) hold one site of each orbit {j, axis - j}, ordered
     by distance from the axis; the ends of that half-arc are either
     on-axis sites, their own mirror images, or the midpoints of on-axis
     bonds.  An on-axis bond joins a site to its image and enters the even
-    and odd sector as the diagonal entry -t and +t.  An on-axis site has
-    even amplitude only and couples to its neighbour orbit with weight
-    sqrt(2); the odd sector leaves it out.
+    and odd sector as the diagonal entry -t and +t.
+
+    Returns (sites, mirror, on_axis_bond): the half-arc's sites, the
+    image of each, and the hopping t of an on-axis bond at either end of
+    the half-arc (0 elsewhere).  Bond sites[i] joins sites[i] and
+    sites[i + 1].
     """
     n = hoppings.size
     sites = np.arange((axis + 1) // 2, (axis + n) // 2 + 1)
     mirror = (axis - sites) % n
     sites %= n
-    on_axis_site = sites == mirror
-    pair = ~on_axis_site
     on_axis_bond = np.zeros(sites.size)
     if axis % 2:
         on_axis_bond[0] = hoppings[mirror[0]]
     if (axis + n) % 2:
         on_axis_bond[-1] = hoppings[sites[-1]]
+    return sites, mirror, on_axis_bond
+
+
+def _mirror_ring(hoppings: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a ring symmetric under j -> (axis - j) mod L.
+
+    Each mirror sector is a tridiagonal chain over the orbits of
+    `_mirror_orbits`.  An on-axis site has even amplitude only and couples
+    to its neighbour orbit with weight sqrt(2); the odd sector leaves it
+    out.
+    """
+    n = hoppings.size
+    sites, mirror, on_axis_bond = _mirror_orbits(hoppings, axis)
+    on_axis_site = sites == mirror
+    pair = ~on_axis_site
     bonds = hoppings[sites[:-1]]
 
     even_energies, even = _tridiagonal(

@@ -112,6 +112,27 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", cfg]) == 2, (key, value)
         assert key in capsys.readouterr().err
 
+    # integer keys take JSON integers only: no float is rounded, no string
+    # parsed and no boolean counted
+    sweep = dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40])
+    for n, (key, config) in enumerate([(key, {**sweep, key: value}) for key, value in (
+            ("sizes", [40.9]), ("sizes", ["40"]), ("sizes", [True, 40]),
+            ("sizes", [40.0, 80]), ("aspect_den", 2.7), ("aspect_den", True),
+            ("parallelism", 1.9), ("parallelism", "1"), ("parallelism", True),
+            ("sizes", {"lo": 40.5, "hi": 80, "step": 20}),
+            ("sizes", {"lo": 40, "hi": "80", "step": 20}),
+            ("sizes", {"lo": 40, "hi": 80, "step": 20.0}),
+            ("sizes", {"lo": 40, "hi": 80, "step": 20, "offset": False}))] + [
+            ("lead", dict(scenario="zero-modes", lead=30.5)),
+            ("n_imps", dict(scenario="zero-modes", n_imps=[3.0, 5])),
+            ("n_imps", dict(scenario="ssh-collapse", n_imps=["3"], ratios=[0.8],
+                            sizes=[40, 80])),
+            ("aspect_num", dict(scenario="slope-at-unity", aspect_num=1.5, sizes=[40, 80]))]):
+        cfg = _write_config(tmp_path / f"int{n}.json", output=f"int{n}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, config
+        assert f"bad value for {key}" in capsys.readouterr().err, config
+        assert not (tmp_path / f"int{n}.csv").exists(), config
+
     cfg = _write_config(tmp_path / "n.json", scenario="ssh-collapse",
                         n_imps="357", ratios=[0.8], sizes=[40])
     assert cli.main(["run", cfg]) == 2

@@ -183,6 +183,46 @@ def test_solver_failure_names_chain_size(spec, solve, monkeypatch):
         solve(spec)
 
 
+@pytest.mark.parametrize("spec, bond_axis", [
+    pytest.param(place_pattern(single_impurity(0.6, 4), 14, "periodic"), True, id="single"),
+    pytest.param(place_pattern(single_impurity(2.5, 14), 14, "periodic"), True,
+                 id="single-on-wrap-bond"),
+    pytest.param(homogeneous(14, "periodic"), True, id="clean"),
+    pytest.param(place_pattern(alternating_block(0.3, 4, 3), 14, "periodic"), True,
+                 id="centred-3-block"),
+    pytest.param(place_pattern(dot_impurity(0.4, 6), 14, "periodic"), False, id="dot"),
+    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), False, id="no-axis"),
+])
+def test_half_filled_ring_route(spec, bond_axis, monkeypatch):
+    # a bond-centred axis needs only the even mirror sector, never diagonalize
+    axis = mirror_axis(spec.bond_ratios())
+    assert (axis is not None and axis % 2 == 1) == bond_axis
+    # G's odd-even block over all filled orbitals, both sectors
+    filled = occupy(diagonalize(spec), 7)
+    expected = [-2.0 * filled[:ell:2] @ filled[1:ell:2].T for ell in (1, 6, 7, 14)]
+
+    def no_diagonalize(spec):
+        raise AssertionError("diagonalize reached")
+
+    monkeypatch.setattr(spectral, "diagonalize", no_diagonalize)
+    if not bond_axis:
+        with pytest.raises(AssertionError, match="diagonalize reached"):
+            half_filled_block(spec, 6)
+        return
+    for ell, q_a in zip((1, 6, 7, 14), expected):
+        fast = half_filled_block(spec, ell)
+        assert fast.shape == q_a.shape == ((ell + 1) // 2, ell // 2)
+        assert np.abs(fast - q_a).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_half_filled_ring_rejects_degenerate_fermi_level(n, monkeypatch):
+    # clean rings of 0 mod 4 sites have a zero level in each mirror sector
+    monkeypatch.setattr(spectral, "diagonalize", None)
+    with pytest.raises(DegenerateFermiLevelError, match=f"filling {n // 2} of {n}"):
+        half_filled_block(homogeneous(n, "periodic"), 2)
+
+
 def test_occupy_bounds():
     data = diagonalize(homogeneous(6))
     assert occupy(data, 0).shape == (6, 0)
