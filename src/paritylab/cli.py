@@ -91,14 +91,19 @@ DEFAULTS = {
 }
 
 
-# Largest chain a plan may hold.  The estimate of ~17 L^2 bytes, ~1.7 GB at
-# this bound, is that of `spectral.diagonalize` (804 MB, ru_maxrss, for an
-# open chain of 6900 sites), which the zero-modes scan and rings without a
-# bond-centred mirror axis take.  Half-filled chains peak lower: open ones
-# at 525 MB for 6900 sites (~10 L^2), and bond-centred rings, every ring a
-# sweep plans, solve one mirror sector of L/2 sites ((L/2)^2 doubles of
-# eigenvectors and as many of `stevd` work), 208 MB for 6002 sites, of
-# which 60 MB is the imported interpreter (~4 L^2).
+# Largest chain a plan may hold.  One solve's peak memory above the
+# imported interpreter (~60 MB), in bytes per L^2, by the route the plan
+# takes (ru_maxrss of one `sweeps.measure` or `spectral.diagonalize`):
+# - "open": half-filled open chains, torn at the region's border
+#   (`spectral.half_filled_block`); the peak grows with the region, from
+#   31 MB at l = L/10 through 148 MB at l = L/2 to 319 MB at l = 0.9 L,
+#   for 6900 sites;
+# - "periodic": bond-centred rings, every ring a sweep plans, which solve
+#   one mirror sector of L/2 sites: 148 MB above the interpreter for 6002
+#   sites;
+# - "dense": every orbital of `spectral.diagonalize`, which the zero-modes
+#   scan takes: 804 MB for an open chain of 6900 sites.
+PEAK_BYTES = {"open": 7.0, "periodic": 4.0, "dense": 17.0}
 MAX_SITES = 10_000
 
 
@@ -161,9 +166,17 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A JSON number as a float: a string or boolean is refused, not parsed
+    into one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return float(value)
+
+
 def _sizes(value):
     if isinstance(value, dict):
-        return tuple(size_ladder(**{key: v if key == "factor" else _integer(v)
+        return tuple(size_ladder(**{key: _real(v) if key == "factor" else _integer(v)
                                     for key, v in value.items()}))
     return _list(_integer, merge=True)(value)
 
@@ -184,8 +197,8 @@ _KEYS = {
     "kind": (str, ("entropy", "fluctuation", "both").__contains__,
              "entropy, fluctuation or both"),
     "boundary": (str, BOUNDARIES.__contains__, "open or periodic"),
-    "ratio": (float, _positive, "positive and finite"),
-    "ratios": (_list(float, merge=True), lambda rs: rs and all(map(_positive, rs)),
+    "ratio": (_real, _positive, "positive and finite"),
+    "ratios": (_list(_real, merge=True), lambda rs: rs and all(map(_positive, rs)),
                "a non-empty list of positive and finite ratios"),
     "sizes": (_sizes, bool, "a non-empty list or ladder of sizes"),
     "n_imps": (_list(_integer, merge=True), lambda ns: ns and all(n > 0 and n % 2 for n in ns),
@@ -193,11 +206,11 @@ _KEYS = {
     "aspect_num": (_integer, lambda n: n >= 1, "at least 1"),
     "aspect_den": (_integer, lambda n: n >= 2, "at least 2"),
     "lead": (_integer, lambda n: n >= 2, "at least 2 sites"),
-    "x_lo": (float, _positive, "positive and finite"),
-    "x_hi": (float, _positive, "positive and finite"),
-    "ladder_factor": (float, lambda f: 1.0 < f <= 1.5, "in (1, 1.5]"),
+    "x_lo": (_real, _positive, "positive and finite"),
+    "x_hi": (_real, _positive, "positive and finite"),
+    "ladder_factor": (_real, lambda f: 1.0 < f <= 1.5, "in (1, 1.5]"),
     # not a grid: the first and last windows set the extrapolation
-    "windows": (_list(float), lambda ws: len(ws) >= 2 and all(map(_positive, ws))
+    "windows": (_list(_real), lambda ws: len(ws) >= 2 and all(map(_positive, ws))
                 and ws[0] != ws[-1], "two or more positive and finite fit windows, "
                 "the first and last different"),
     "output": (lambda path: path, _writable, "a file path in an existing directory"),
@@ -224,23 +237,25 @@ def _pick(kind: str, pair: tuple) -> tuple:
     return {"entropy": pair[:1], "fluctuation": pair[1:], "both": pair}[kind]
 
 
-def _check_size(n_sites, where: str = "") -> None:
+def _check_size(n_sites, route: str, where: str = "") -> None:
+    """Config error if a chain of n_sites is above MAX_SITES, quoting the
+    memory that route ("open", "periodic" or "dense") would take."""
     if n_sites > MAX_SITES:
         n = n_sites if n_sites < 1e150 else math.inf  # no float overflow on huge ints
         raise ConfigError(f"{where}n_sites={n:.6g} is above MAX_SITES={MAX_SITES} "
-                          f"(~{17e-9 * n * n:.3g} GB to solve)")
+                          f"(~{PEAK_BYTES[route] * 1e-9 * n * n:.3g} GB to solve)")
 
 
-def _check_pairs(sizes, build) -> None:
+def _check_pairs(sizes, build, route: str) -> None:
     """Config error unless build(n_sites) places the chains of every size,
     each within MAX_SITES."""
     for n_sites in sizes:
-        _check_size(n_sites)
+        _check_size(n_sites, route)
         try:
             chains = build(n_sites)
         except ValueError as exc:
             raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
-        _check_size(max(spec.n_sites for spec in chains))
+        _check_size(max(spec.n_sites for spec in chains), route)
 
 
 # Planners: each takes a parsed config, checks what its scenario needs across
@@ -254,7 +269,7 @@ def _plan_impurity_sweep(c):
     if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
         raise ConfigError("periodic sizes must be 2 mod 4")
     _check_pairs(sizes, lambda n: pair_specs("single", 1.0, n, ladder_region(n, aspect_den),
-                                             boundary))
+                                             boundary), boundary)
     span = f"sizes={sizes[0]}..{sizes[-1]}"
     if boundary == "open":
         jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
@@ -277,7 +292,7 @@ def _splitting_jobs(c, blocks, aspect_num: int) -> tuple:
         raise ConfigError("need at least two distinct sizes to extrapolate")
     for kind, n_imp in blocks:
         _check_pairs(sizes, lambda n: pair_specs(
-            kind, 1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp))
+            kind, 1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp), "open")
     return tuple((f"n_imp={n_imp} ratios={list(ratios)} sizes={list(sizes)}", splitting_table,
                   (kind, ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
                  for kind, n_imp in blocks)
@@ -304,7 +319,7 @@ def _plan_ssh_collapse(c):
 def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[int]:
     r2 = ratio * ratio  # saturates to inf where ratio**2 would raise
     if x_hi > MAX_SITES * r2:  # before dividing: r2 underflows to 0 below ratio ~1e-162
-        _check_size(x_hi / ratio / ratio, f"ratio={ratio:g} x_hi={x_hi:g}: ")
+        _check_size(x_hi / ratio / ratio, "open", f"ratio={ratio:g} x_hi={x_hi:g}: ")
     sizes = []
     # 8 sites is the smallest chain whose shifted dot still fits
     x = max(x_lo / r2, 8.0)
@@ -324,7 +339,7 @@ def _plan_dot_crossover(c):
         raise ConfigError(f"need x_lo < x_hi, got {x_lo}, {x_hi}")
     ladders = {r: tuple(_dot_ladder(r, x_lo, x_hi, c["ladder_factor"])) for r in c["ratios"]}
     for sizes in ladders.values():
-        _check_pairs(sizes, lambda n: dot_pair(1.0, n))
+        _check_pairs(sizes, lambda n: dot_pair(1.0, n), "open")
     jobs = tuple((f"ratio={r:g} sizes={s[0]}..{s[-1]}", dot_series,
                   (r, s, c["parallelism"])) for r, s in ladders.items())
 
@@ -362,7 +377,7 @@ def _plan_slope_at_unity(c):
 def _plan_zero_modes(c):
     ratio, lead = c["ratio"], c["lead"]
     chains = {n_imp: 2 * lead + 2 * n_imp for n_imp in c["n_imps"]}
-    _check_size(max(chains.values()))
+    _check_size(max(chains.values()), "dense")
     jobs = tuple((f"n_imp={n_imp} n_sites={n_sites}", near_zero_modes,
                   (place_pattern(alternating_block(ratio, lead + 1, n_imp), n_sites),))
                  for n_imp, n_sites in chains.items())

@@ -202,20 +202,6 @@ def _wave_residual(sol: BlockWaveSolution, pad: int = 6) -> float:
     return worst
 
 
-def dot_transmission(ratio: float, energy: float) -> float:
-    """Transmission probability through a two-bond dot near its resonance.
-
-    A site coupled to both leads by bonds of ratio r transmits like a
-    resonant level of width proportional to r^2:
-    |t|^2 = 1 / (1 + (energy / (2 r^2))^2) in units of the band hopping.
-    Invariant under (r, energy) -> (c r, c^2 energy).
-    """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    x = energy / (ratio * ratio)
-    return 1.0 / (1.0 + 0.25 * x * x)
-
-
 @dataclasses.dataclass(frozen=True)
 class NearZeroModes:
     """The two single-particle levels closest to zero energy.

@@ -14,11 +14,20 @@ has diagonal blocks I/2 and off-diagonal block -Q/2 (Peschel, J. Phys. A
 36, L205, 2003), and a region is fixed by its own sublattice block Q_A.
 On an open chain B is lower bidiagonal and Q = U V^T follows from
 B = U Sigma V^T alone (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205,
-1965), which LAPACK's bidiagonal divide-and-conquer ``dbdsdc`` (Gu &
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79, 1995) finds at half the
-size of H.  A ring's B has one corner element more.  Every ring a sweep
-plans has a mirror axis through two bonds (see `mirror_axis`), and there
-the sublattice sign S = diag((-1)^j), which flips H, also flips the
+1965).  A region needs far less than the whole SVD: removing the row of
+B^T next to the region's border tears the chain into the region and the
+rest, two independent bidiagonal blocks joined by one appended row.  One
+rank-one secular merge of the two (Gu & Eisenstat, SIAM J. Matrix Anal.
+Appl. 16, 79, 1995), LAPACK's ``dlasd6``, needs only each block's
+singular values and the end components of its right singular vectors,
+closed-form sines for a block without defects and the bidiagonal QR
+``dlasdq`` otherwise.  Reading the merge's factors out on the region's
+rows alone, in the arithmetic of LAPACK's ``dlals0``, gives Q_A up to
+orthogonal factors on each side, which change no occupation.
+
+A ring's B has one corner element more.  Every ring a sweep plans has a
+mirror axis through two bonds (see `mirror_axis`), and there the
+sublattice sign S = diag((-1)^j), which flips H, also flips the
 reflection, so it maps the even mirror sector onto the odd one with every
 energy negated.  Q_A then follows from the eigenpairs of the even sector
 alone, a tridiagonal chain of L/2 sites.  Other rings read Q_A off the
@@ -55,7 +64,7 @@ from .chains import ChainSpec, build_hamiltonian
 DEGENERACY_RTOL = 1e-12
 
 
-def _lapack_symbol(name: str):
+def _lapack_symbol(name: str, n_args: int):
     """A LAPACK routine that scipy.linalg.lapack does not wrap, called
     through the pointer scipy.linalg.cython_lapack exports for it.
 
@@ -68,11 +77,30 @@ def _lapack_symbol(name: str):
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(address)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-# (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
-_dbdsdc = _lapack_symbol("dbdsdc")
+# (uplo, sqre, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
+_dlasdq = _lapack_symbol("dlasdq", 16)
+# (icompq, nl, nr, sqre, d, vf, vl, alpha, beta, idxq, perm, givptr, givcol,
+#  ldgcol, givnum, ldgnum, poles, difl, difr, z, k, c, s, work, iwork, info)
+_dlasd6 = _lapack_symbol("dlasd6", 26)
+
+# Largest deviation from 1 of the norm of a merged singular vector; measured
+# <= 1e-14 up to L = 6900.
+MERGE_NORM_ATOL = 1e-12
+
+
+def _lapack(routine, name: str, n_sites: int, *args) -> None:
+    """Call a `_lapack_symbol` routine on arrays, flags (bytes) and Python
+    ints, each int passed by reference; LAPACK's info is appended as the
+    last argument, and a nonzero info raises naming the chain size."""
+    info = np.zeros(1, dtype=np.intc)
+    routine(*[ctypes.byref(ctypes.c_int(a)) if isinstance(a, int)
+              else a if isinstance(a, bytes) else a.ctypes.data for a in args],
+            info.ctypes.data)
+    if info[0] != 0:
+        raise _solver_error(name, n_sites, f"info={info[0]}")
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -145,13 +173,16 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     """Sublattice block Q_A of the half-filled correlation matrix of a
     chain's first region_len sites, a = ceil(l/2) odd and b = floor(l/2)
     even ones: G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]] in (odd sites, even
-    sites) order (module docstring).  Two routes, picked from the chain:
+    sites) order (module docstring).  Three routes, picked from the chain:
 
-    - open chains: Q_A = U[:a] V^T[:, :b] with B = U Sigma V^T.  B has
-      diagonal -J t_{2i-1} and subdiagonal -J t_{2i}, 1-based bonds, over
-      the L/2 odd sites.  ``dbdsdc`` keeps U and V orthonormal to ~1e-14
-      at L/2 ~ 3000, as ``stevd`` keeps its orbitals (see `diagonalize`
-      for why that matters);
+    - open chains: the tear at the region's border of `_torn_block`,
+      which returns W = O_1 Q_A O_2 with O_1 and O_2 orthogonal, not Q_A
+      itself: Q_A up to orthogonal factors on each side.  W has Q_A's
+      singular values, the only thing `observables.sublattice_occupations`
+      reads, and takes O(L^2 + l^2 L) time and O(l L) memory where Q_A
+      itself would need the whole SVD of B.  A region of one site, or one
+      ending within two sites of the far end, leaves no row to tear on one
+      side and takes `_end_block`;
     - rings whose mirror axis runs through two bonds (odd axis c, as on
       every ring a sweep plans): Q_A = V[r_odd] diag(sign E) V[r_even]^T
       from the eigenpairs (E, V) of the even mirror sector alone, where
@@ -169,10 +200,12 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         If the chain has an odd number of sites, or the region is empty
         or longer than the chain.
     DegenerateFermiLevelError
-        If the Fermi gap, 2 sigma_min on open chains and 2 min |E| on
+        If the Fermi gap, 2 sigma_min of B on open chains and 2 min |E| on
         bond-axis rings, fails `occupy`'s rule.
     numpy.linalg.LinAlgError
-        If LAPACK fails; the message names the chain size.
+        If LAPACK fails, or a merged singular vector of an open chain
+        misses unit norm by more than MERGE_NORM_ATOL; the message names
+        the chain size.
     """
     n_filled = half_filling(spec)
     if region_len > spec.n_sites:
@@ -186,13 +219,232 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
             return _bond_axis_block(spec.hopping * ratios, axis, region_len)
         phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
         return -2.0 * phi_a[0::2] @ phi_a[1::2].T
-    hoppings = -spec.hopping * ratios
-    sigma, u, vt, info = _bidiagonal_svd(hoppings[0::2], hoppings[1::2])
-    if info != 0:
-        raise _solver_error("bdsdc", spec.n_sites, f"info={info}")
-    # H has eigenvalues -+sigma, and half filling fills the lower n_filled
-    _check_gap(2.0 * sigma[-1], 2.0 * sigma[0], n_filled, spec.n_sites)
-    return u[:(region_len + 1) // 2] @ vt[:, :region_len // 2]
+    n = spec.n_sites
+    # the even site next to the region's border: l + 1 for odd l; an even
+    # region is read from the chain's far end, where site l + 1 is L - l
+    odd = region_len % 2 == 1
+    torn = region_len + 1 if odd else n - region_len
+    if 4 <= torn <= n - 2:
+        return _torn_block(ratios if odd else ratios[::-1], spec.hopping, torn, odd)
+    # a pure state: the region's occupations other than 0 and 1 are those
+    # of its complement, the L - l sites at the far end; the shorter of the
+    # two has at most two sites, and each site more adds a singular value 1
+    short = min(region_len, n - region_len)
+    w = _end_block(ratios if short == region_len else ratios[::-1], spec.hopping, short)
+    pad = region_len // 2 - short // 2
+    q_a = np.eye((region_len + 1) // 2, region_len // 2)
+    q_a[pad:, pad:] = w
+    return q_a
+
+
+def _torn_block(ratios: np.ndarray, hopping: float, torn: int,
+                region_first: bool) -> np.ndarray:
+    """Q_A of a half-filled open chain up to orthogonal factors on each
+    side, from a tear of C = B^T at row `torn`, the even site next to the
+    region's border, with the region before it (region_first) or after it.
+
+    C is upper bidiagonal, rows on even sites and columns on odd ones.
+    Without row `torn` it splits into an upper block over sites
+    1..torn-1 (NL x NL+1) and a lower block over torn+1..L (NR x NR);
+    the row holds alpha = -J t_{torn-1} and beta = -J t_torn.  ``dlasd6``
+    merges the two from their singular values and the components of their
+    right singular vectors next to the tear (`_segment`) into
+    C = U Sigma V^T with U = diag(U_1, 1, U_2) U_m and V = diag(V_1, V_2) V_m,
+    and returns the merge factors U_m and V_m in factored form.  The
+    region's rows and columns of U V^T are then U_1 (U_m V_m^T)[rows, cols]
+    V_1^T for the upper block, and likewise for the lower one, so the
+    region's part of V_m U_m^T (`_merge_readout`) has Q_A's singular values.
+    """
+    n_sites = ratios.size + 1
+    nl, nr = torn // 2 - 1, (n_sites - torn) // 2
+    n = nl + nr + 1
+    # each block read from the tear outwards: the upper one backwards
+    sigma_up, end_up = _segment(ratios[:torn - 2][::-1], hopping, n_sites)
+    sigma_low, end_low = _segment(ratios[torn:], hopping, n_sites)
+    sigma = np.concatenate([sigma_up, [0.0], sigma_low])
+    # the upper block's first and the lower block's last components enter
+    # only dlasd6's update of them, for a further merge this one never has
+    first = np.concatenate([np.zeros(nl + 1), end_low])
+    last = np.concatenate([end_up, np.zeros(nr)])
+    alpha = np.array([-hopping * ratios[torn - 2]])
+    beta = np.array([-hopping * ratios[torn - 1]])
+    # each block's singular values are ascending already
+    idxq = np.concatenate([np.arange(1, nl + 1), [0], np.arange(1, nr + 1)]).astype(np.intc)
+    perm, givptr, givcol, k = (np.zeros(size, dtype=np.intc) for size in (n, 1, 2 * n, 1))
+    givnum, poles, difr = (np.zeros(2 * n) for _ in range(3))
+    difl, z = np.zeros(n), np.zeros(n)
+    _lapack(_dlasd6, "lasd6", n_sites, 1, nl, nr, 0, sigma, first, last, alpha, beta,
+            idxq, perm, givptr, givcol, n, givnum, n, poles, difl, difr, z, k,
+            np.zeros(1), np.zeros(1), np.empty(4 * n), np.empty(3 * n, dtype=np.intc))
+    # H has eigenvalues -+sigma, and half filling fills the lower L/2
+    _check_gap(2.0 * sigma.min(), 2.0 * sigma.max(), n_sites // 2, n_sites)
+    k = int(k[0])
+    # GIVCOL, GIVNUM, POLES and DIFR are n x 2, column-major; dlals0
+    # rotates row GIVCOL(g, 2) against GIVCOL(g, 1) by GIVNUM(g, 2:1)
+    rotations = [(givcol[n + g] - 1, givcol[g] - 1, givnum[n + g], givnum[g])
+                 for g in range(givptr[0])]
+    # the merged problem's row order: the appended row, then PERM(2:n)
+    order = np.concatenate([[nl], perm[1:] - 1])
+    # POLES(:, 2) shifted by one, padded
+    dsig_next = np.append(poles[n + 1:n + k], 0.0)
+    secular = (poles[:k], poles[n:n + k], dsig_next, difl[:k], difr[:k], difr[n:n + k], z[:k])
+    if region_first:
+        rows_in, rows_out = np.arange(nl), np.arange(nl + 1)
+    else:
+        rows_in = rows_out = np.arange(nl + 1, n)
+    return _merge_readout(rows_in, rows_out, order, rotations, secular, n_sites)
+
+
+def _merge_readout(rows_in: np.ndarray, rows_out: np.ndarray, order: np.ndarray,
+                   rotations: list, secular: tuple, n_sites: int) -> np.ndarray:
+    """Rows rows_out of V_m U_m^T times the unit vectors e_i, i in rows_in,
+    for the merge factors of one ``dlasd6`` call.
+
+    This is LAPACK's ``dlals0`` applied with ICOMPQ = 0 and then 1, in its
+    own arithmetic, but on the rows that reach the result only: U_m^T is
+    the Givens rotations, the row order and the K x K secular block S_U,
+    and V_m the secular block S_V, the order's inverse and the rotations
+    reversed; rows beyond K are deflated and pass through.  The region's
+    unit vectors meet only ~l/2 columns of S_U and the region's rows only
+    ~l/2 rows of S_V, so two GEMMs of O(l L) entries replace dlals0's
+    K matrix-vector products per call over all L/2 rows.
+
+    Both factors are orthogonal, which is checked: every column of U_m^T
+    e_i and every row of S_V read must have unit norm within
+    MERGE_NORM_ATOL.
+    """
+    n, k = order.size, secular[0].size
+    x = np.zeros((n, rows_in.size))
+    x[rows_in, np.arange(rows_in.size)] = 1.0
+    for a, b, c, s in rotations:
+        x[a], x[b] = c * x[a] + s * x[b], c * x[b] - s * x[a]
+    x = x[order]
+    support = np.flatnonzero(x[:k].any(axis=1))
+    picked = x[support]
+    for rows in _chunks(np.arange(k)):
+        x[rows] = _secular_left(rows, support, *secular) @ picked
+    _check_unit_norm(np.linalg.norm(x, axis=0), n_sites)
+    # the rotations pair rows, so a region row may need its partner
+    need = np.zeros(n, dtype=bool)
+    need[rows_out] = True
+    for a, b, _, _ in rotations:
+        need[a] = need[b] = need[a] or need[b]
+    rows = np.flatnonzero(need[order])
+    y = np.zeros_like(x)
+    for inner in _chunks(rows[rows < k]):
+        s_v = _secular_right(inner, *secular)
+        _check_unit_norm(np.linalg.norm(s_v, axis=1), n_sites)
+        y[order[inner]] = s_v @ x[:k]
+    outer = rows[rows >= k]
+    y[order[outer]] = x[outer]
+    for a, b, c, s in reversed(rotations):
+        y[a], y[b] = c * y[a] - s * y[b], c * y[b] + s * y[a]
+    return y[rows_out]
+
+
+def _chunks(rows: np.ndarray, size: int = 64):
+    """Consecutive slices of rows, to bound the secular blocks held at once."""
+    return (rows[start:start + size] for start in range(0, rows.size, size))
+
+
+def _secular_left(j, i, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
+    """Entries (j, i) of S_U as ``dlals0`` forms them, from dlasd6's new
+    singular values d, poles dsig (and dsig_next[j] = dsig[j + 1]), DIFL,
+    DIFR(:, 1:2) and updated z.
+
+    Row j is the left singular vector (-1, dsig_i z_i / (dsig_i^2 - d_j^2))
+    of the merged problem, the differences taken from DIFL and DIFR
+    without cancellation.  dlals0 divides it by its norm, which is
+    d_j DIFR(j, 2): DIFR(j, 2) is the norm of the right vector
+    z_i / (dsig_i^2 - d_j^2), and the secular equation
+    1 + sum_i z_i^2 / (dsig_i^2 - d_j^2) = 0 turns one norm into the other.
+    """
+    jj = j[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = (dsig[i] - dsig[jj]) - difl[jj]
+        above = (dsig[i] - dsig_next[jj]) - difr1[jj]
+        out = dsig[i] * z[i] / np.where(i <= jj, below, above) / (dsig[i] + d[jj])
+    out[:, (z[i] == 0.0) | (dsig[i] == 0.0)] = 0.0
+    out[:, i == 0] = -1.0
+    return out / (d[jj] * difr2[jj])
+
+
+def _secular_right(j, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
+    """Rows j of S_V, every column, as ``dlals0`` forms them: column i is
+    the right singular vector z_j / (dsig_j^2 - d_i^2) of the merged
+    problem over its norm DIFR(i, 2) (see `_secular_left`)."""
+    jj = j[:, None]
+    i = np.arange(d.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below = (dsig[jj] - dsig_next) - difr1
+        above = (dsig[jj] - dsig) - difl
+        out = z[jj] / np.where(i < jj, below, above) / (dsig[jj] + d) / difr2
+    out[z[j] == 0.0] = 0.0
+    return out
+
+
+def _check_unit_norm(norms: np.ndarray, n_sites: int) -> None:
+    deviation = np.abs(norms - 1.0).max(initial=0.0)
+    if deviation > MERGE_NORM_ATOL:
+        raise _solver_error("lasd6 merge", n_sites, f"a merged vector's norm is off 1 by "
+                            f"{deviation:.1e}")
+
+
+def _segment(ratios: np.ndarray, hopping: float, n_sites: int):
+    """Singular values, ascending, and the first components of the right
+    singular vectors of one block of C: the segment of m sites that these
+    bond ratios join, its first site a column.
+
+    A segment of m = 2k + 1 sites is a k x (k+1) block whose null vector
+    comes last; one of m = 2k sites is k x k.  A segment without defects
+    is a clean open chain, whose orbital j has E = -+2J cos(theta_j),
+    theta_j = pi j / (m + 1), and amplitude sqrt(2 / (m + 1)) sin(theta_j x)
+    on site x, half of its weight on the columns except for the zero mode.
+    Other segments take ``dlasdq`` with one column of V^T.
+    """
+    m = ratios.size + 1
+    k, sqre = m // 2, m % 2
+    if np.all(ratios == 1.0):
+        j = np.arange(k, 0, -1)
+        # cos(theta_j) as a sine: full relative accuracy near the band centre
+        sigma = 2.0 * hopping * np.sin(0.5 * np.pi * (m + 1 - 2 * j) / (m + 1))
+        first = np.empty(k + sqre)
+        first[:k] = 2.0 / np.sqrt(m + 1) * np.sin(np.pi * j / (m + 1))
+        first[k:] = np.sqrt(2.0 / (m + 1))  # the zero mode, on the columns only
+        return sigma, first
+    hoppings = -hopping * ratios
+    sigma = hoppings[0::2].copy()
+    e = np.zeros(k)
+    e[:k - 1 + sqre] = hoppings[1::2]
+    first = np.zeros(k + sqre)
+    first[0] = 1.0
+    unused = np.zeros(1)
+    _lapack(_dlasdq, "lasdq", n_sites, b"U", sqre, k, 1, 0, 0, sigma, e, first, k + sqre,
+            unused, 1, unused, 1, np.empty(4 * (k + sqre)))
+    return sigma, first
+
+
+def _end_block(ratios: np.ndarray, hopping: float, m: int) -> np.ndarray:
+    """Sublattice block, shape (ceil(m/2), floor(m/2)), of the first m <= 2
+    sites of a half-filled open chain, with the Fermi-gap check.
+
+    ``dlasdq`` on the whole C gives its singular values and, for m = 2,
+    the first rows of U and V, whose product is the one entry
+    (U V^T)[site 2, site 1].
+    """
+    n_sites = ratios.size + 1
+    n = n_sites // 2
+    hoppings = -hopping * ratios
+    sigma = hoppings[0::2].copy()
+    e = np.zeros(n)
+    e[:n - 1] = hoppings[1::2]
+    vt = np.zeros((n, 1), order="F")
+    u = np.zeros((1, n), order="F")
+    vt[0, 0] = u[0, 0] = 1.0
+    _lapack(_dlasdq, "lasdq", n_sites, b"U", 0, n, m // 2, m // 2, 0, sigma, e, vt, n,
+            u, 1, np.zeros(1), 1, np.empty(4 * n))
+    _check_gap(2.0 * sigma.min(), 2.0 * sigma.max(), n, n_sites)
+    return np.full(((m + 1) // 2, m // 2), u[0] @ vt[:, 0])
 
 
 def _bond_axis_block(hoppings: np.ndarray, axis: int, region_len: int) -> np.ndarray:
@@ -218,30 +470,6 @@ def _bond_axis_block(hoppings: np.ndarray, axis: int, region_len: int) -> np.nda
     row[mirror] = np.arange(sites.size)
     rows = row[:region_len]
     return (orbitals[rows[0::2]] * np.sign(energies)) @ orbitals[rows[1::2]].T
-
-
-def _bidiagonal_svd(diagonal: np.ndarray, sub_diagonal: np.ndarray):
-    """B = U diag(sigma) V^T of a lower bidiagonal B by LAPACK ``dbdsdc``.
-
-    Returns (sigma, U, V^T, info): sigma descending, U and V^T as
-    Fortran-ordered n x n arrays, and LAPACK's info, nonzero on failure.
-    """
-    n = diagonal.size
-    sigma = np.array(diagonal, dtype=float)
-    e = np.zeros(max(n - 1, 1))
-    e[:n - 1] = sub_diagonal
-    u = np.empty((n, n), order="F")
-    vt = np.empty((n, n), order="F")
-    work = np.empty(3 * n * n + 4 * n)
-    iwork = np.empty(8 * n, dtype=np.intc)
-    size = np.array([n], dtype=np.intc)
-    info = np.zeros(1, dtype=np.intc)
-    unused = np.zeros(1)
-    _dbdsdc(b"L", b"I", size.ctypes.data, sigma.ctypes.data, e.ctypes.data,
-            u.ctypes.data, size.ctypes.data, vt.ctypes.data, size.ctypes.data,
-            unused.ctypes.data, unused.ctypes.data, work.ctypes.data,
-            iwork.ctypes.data, info.ctypes.data)
-    return sigma, u, vt, int(info[0])
 
 
 def _solver_error(routine: str, n_sites: int, detail) -> np.linalg.LinAlgError:

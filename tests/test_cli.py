@@ -215,6 +215,24 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert "config error" in capsys.readouterr().err, name
         assert not (tmp_path / f"{name}.csv").exists(), name
 
+    # float keys take JSON numbers only: a string or boolean is not parsed
+    for name, config in (
+            ("str-ratios", dict(scenario="impurity-sweep", ratios=["0.8"], sizes=[40])),
+            ("bool-ratios", dict(scenario="impurity-sweep", ratios=[True], sizes=[40])),
+            ("str-ratio", dict(scenario="zero-modes", ratio="0.8")),
+            ("str-x-lo", dict(scenario="dot-crossover", ratios=[0.2], x_lo="0.3")),
+            ("bool-x-hi", dict(scenario="dot-crossover", ratios=[0.2], x_hi=True)),
+            ("str-factor", dict(scenario="dot-crossover", ratios=[0.2], ladder_factor="1.25")),
+            ("str-windows", dict(scenario="slope-at-unity", windows=["0.1", 0.05])),
+            ("bool-windows", dict(scenario="slope-at-unity", windows=[0.1, True])),
+            ("str-ladder-factor", dict(scenario="impurity-sweep", ratios=[0.8],
+                                       sizes={"lo": 40, "hi": 80, "step": 20,
+                                              "factor": "1.2"}))):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        assert "config error" in capsys.readouterr().err, name
+        assert not (tmp_path / f"{name}.csv").exists(), name
+
     # dot ladders too narrow for their ratio (ratio**2 would overflow for
     # the second), fits over fewer than two distinct sizes, and a kind no
     # scenario knows
@@ -243,6 +261,16 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", cfg]) == 2, name
         err = capsys.readouterr().err
         assert "MAX_SITES" in err and "GB" in err, name
+    # each refusal quotes its own route's memory: the open-chain tear, a
+    # bond-centred ring's mirror sector, or every orbital
+    for name, config, gigabytes in (
+            ("open", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[400, 20000]), 2.8),
+            ("ring", dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8],
+                          sizes=[20002]), 1.6),
+            ("dense", dict(scenario="zero-modes", lead=4994), 1.7)):
+        cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
+        assert cli.main(["run", cfg]) == 2, name
+        assert f"(~{gigabytes:.3g} GB to solve)" in capsys.readouterr().err, name
 
     for output in (None, str(tmp_path / "missing" / "out.csv"), ""):
         cfg = _write_config(tmp_path / "out.json", scenario="zero-modes", output=output)

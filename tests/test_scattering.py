@@ -1,12 +1,10 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from paritylab.chains import alternating_block, place_pattern
-from paritylab.scattering import (dot_transmission, effective_strength,
-                                  exterior_matching, near_zero_modes,
+from paritylab.scattering import (effective_strength, exterior_matching, near_zero_modes,
                                   phase_shift, solve_block)
 
 
@@ -101,40 +99,6 @@ def test_solve_block_validation():
         solve_block([0.5], 0.0)
     with pytest.raises(ValueError):
         solve_block([-0.5], math.pi / 2)
-
-
-def _exact_dot_transmission(lam, k):
-    # plane wave through two adjacent weak bonds: solve the three matching
-    # equations for (reflected, dot amplitude, transmitted)
-    e = -2.0 * math.cos(k)
-    eik = cmath.exp(1j * k)
-    m = np.array([
-        [-eik - e, -lam, 0.0],
-        [-lam, -e, -lam * eik**2],
-        [0.0, -lam, -eik**3 - e * eik**2],
-    ], dtype=complex)
-    rhs = np.array([eik**-1 + e, lam, 0.0], dtype=complex)
-    b, c1, t = np.linalg.solve(m, rhs)
-    return abs(t) ** 2
-
-
-def test_dot_transmission_resonance_exact():
-    # symmetric dot is perfectly transparent right at the band center
-    for lam in (0.1, 0.3, 0.7):
-        assert _exact_dot_transmission(lam, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
-        assert dot_transmission(lam, 0.0) == 1.0
-
-
-def test_dot_transmission_lorentzian_tail():
-    # resonant-level form emerges for weak coupling near the band center
-    lam = 0.1
-    for x in (0.5, 1.0, 2.0):
-        energy = x * lam * lam
-        k = math.acos(-energy / 2.0)
-        exact = _exact_dot_transmission(lam, k)
-        assert dot_transmission(lam, energy) == pytest.approx(exact, rel=0.02)
-    with pytest.raises(ValueError):
-        dot_transmission(0.0, 0.1)
 
 
 def test_near_zero_modes_sublattice_polarized():

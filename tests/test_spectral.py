@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paritylab import spectral
 from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
                               dot_impurity, homogeneous, place_pattern,
                               single_impurity)
-from paritylab.observables import Region, region_observables
+from paritylab.observables import (Region, charge_fluctuation, entanglement_entropy,
+                                   region_observables, sublattice_occupations)
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
                                 mirror_axis, occupy)
@@ -125,15 +128,51 @@ def _check_against_dense(spec, rng):
         s, f = measure(spec, length)
         assert s == pytest.approx(ref.entropy, abs=1e-9)
         assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+        if spec.boundary == "open":
+            s_svd, f_svd = _observables(_dbdsdc_block(spec, length))
+            assert s == pytest.approx(s_svd, abs=1e-9)
+            assert f == pytest.approx(f_svd, abs=1e-9)
     with pytest.raises(ValueError, match=f"chain has {n}"):
         measure(spec, n + 1)
 
 
+# (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
+_dbdsdc = spectral._lapack_symbol("dbdsdc", 14)
+
+
+def _bidiagonal_svd(spec):
+    """B = U diag(sigma) V^T by LAPACK's whole bidiagonal divide and conquer
+    ``dbdsdc``, B lower bidiagonal with rows on the odd sites of an open
+    chain: sigma descending, U and V^T as n x n arrays."""
+    hoppings = -spec.hopping * spec.bond_ratios()
+    sigma = hoppings[0::2].copy()
+    n = sigma.size
+    e = np.zeros(n)
+    e[:n - 1] = hoppings[1::2]
+    u = np.empty((n, n), order="F")
+    vt = np.empty((n, n), order="F")
+    unused = np.zeros(1)
+    spectral._lapack(_dbdsdc, "bdsdc", spec.n_sites, b"L", b"I", n, sigma, e, u, n, vt, n,
+                     unused, unused, np.empty(3 * n * n + 4 * n),
+                     np.empty(8 * n, dtype=np.intc))
+    return sigma, u, vt
+
+
+def _dbdsdc_block(spec, region_len):
+    """Q_A = U[:a] V^T[:, :b] of an open chain from the whole SVD of B: the
+    oracle for the torn route of `half_filled_block`."""
+    _, u, vt = _bidiagonal_svd(spec)
+    return u[:(region_len + 1) // 2] @ vt[:, :region_len // 2]
+
+
+def _observables(q_a):
+    nu = sublattice_occupations(q_a)
+    return entanglement_entropy(nu), charge_fluctuation(nu)
+
+
 def _check_sublattice_svd(spec, energies):
     # B couples odd sites (rows) to even sites (columns); H has energies -+sigma
-    hoppings = -spec.hopping * spec.bond_ratios()
-    sigma, u, vt, info = spectral._bidiagonal_svd(hoppings[0::2], hoppings[1::2])
-    assert info == 0
+    sigma, u, vt = _bidiagonal_svd(spec)
     n = sigma.size
     assert np.abs(u.T @ u - np.eye(n)).max() <= 5e-14
     assert np.abs(vt @ vt.T - np.eye(n)).max() <= 5e-14
@@ -154,10 +193,87 @@ def test_open_chain_route_matches_dense_oracle():
         _check_against_dense(spec, rng)
 
 
+def _check_every_region(spec):
+    """S and F of every region [1, l], l = 1..L, of an open chain against
+    the dense correlation matrix and, up to L = 16, the whole-SVD oracle."""
+    _, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+    filled = orbitals[:, :half_filling(spec)]
+    g_dense = filled @ filled.T
+    for length in range(1, spec.n_sites + 1):
+        ref = region_observables(g_dense, Region(1, length))
+        s, f = measure(spec, length)
+        assert s == pytest.approx(ref.entropy, abs=1e-9)
+        assert f == pytest.approx(ref.fluctuation, abs=1e-9)
+        if spec.n_sites <= 16:
+            s_svd, f_svd = _observables(_dbdsdc_block(spec, length))
+            assert s == pytest.approx(s_svd, abs=1e-9)
+            assert f == pytest.approx(f_svd, abs=1e-9)
+
+
+def test_open_chain_every_region_on_short_chains():
+    # the clean chain and every pattern position at a weak and a strong
+    # ratio, with the tear's edges: no row on one side (l = 1, L - 2,
+    # L - 1, L) and chains of fewer than 6 sites
+    for n in range(2, 17, 2):
+        specs = [homogeneous(n)]
+        for ratio in (0.3, 4.0):
+            for bond in range(1, n):
+                specs.append(place_pattern(single_impurity(ratio, bond), n))
+                if bond + 1 < n:
+                    specs.append(place_pattern(dot_impurity(ratio, bond), n))
+                if bond + 4 < n:
+                    specs.append(place_pattern(alternating_block(ratio, bond, 3), n))
+        for spec in specs:
+            _check_every_region(spec)
+
+
+@st.composite
+def _open_chains(draw):
+    kind = draw(st.sampled_from(["single", "dot", "alternating"]))
+    n_imp = draw(st.sampled_from([3, 5])) if kind == "alternating" else 1
+    span = {"single": 1, "dot": 2}.get(kind, 2 * n_imp - 1)  # bonds the pattern covers
+    n = 2 * draw(st.integers(span // 2 + 1, 150))
+    ratio = draw(st.floats(0.2, 4.0))
+    anchor = draw(st.integers(1, n - span))
+    if kind == "single":
+        return place_pattern(single_impurity(ratio, anchor), n)
+    if kind == "dot":
+        return place_pattern(dot_impurity(ratio, anchor), n)
+    return place_pattern(alternating_block(ratio, anchor, n_imp), n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(_open_chains())
+# the clean halves torn at l = 20 have tied singular values
+# (cos 7 pi / 21 = cos 60 pi / 180)
+@example(place_pattern(single_impurity(0.8, 20), 200))
+@example(place_pattern(dot_impurity(0.5, 20), 200))
+# a strong border bond binds a state at each end of a torn half
+@example(place_pattern(single_impurity(4.0, 100), 200))
+@example(place_pattern(alternating_block(4.0, 92, 5), 200))
+def test_open_chain_every_region_matches_dense(spec):
+    _check_every_region(spec)
+
+
+def test_torn_route_rejects_degenerate_fermi_level():
+    # two identical 5-site halves: their zero modes meet at the Fermi level
+    spec = ChainSpec(10, "open", ((5, 1e-15),))
+    for length in range(1, 11):
+        with pytest.raises(DegenerateFermiLevelError, match="filling 5 of 10"):
+            half_filled_block(spec, length)
+
+
+def _lapack_fails(*pointers):
+    # the last argument points at LAPACK's info
+    ctypes.c_int.from_address(pointers[-1]).value = 3
+
+
 @pytest.mark.parametrize("spec, solve", [
     pytest.param(homogeneous(14), diagonalize, id="open"),
     pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7),
                  id="open-half-filled"),
+    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 13),
+                 id="open-half-filled-end"),
     pytest.param(homogeneous(14, "periodic"), diagonalize, id="periodic"),
     pytest.param(homogeneous(14, "periodic"), lambda spec: half_filled_block(spec, 7),
                  id="periodic-half-filled"),
@@ -172,15 +288,33 @@ def test_solver_failure_names_chain_size(spec, solve, monkeypatch):
     def stevd_fails(d, e):
         return d, np.eye(d.size), 3
 
-    def bdsdc_fails(*pointers):
-        # the last argument points at LAPACK's info
-        ctypes.c_int.from_address(pointers[-1]).value = 3
-
     monkeypatch.setattr(spectral, "dstevd", stevd_fails)
-    monkeypatch.setattr(spectral, "_dbdsdc", bdsdc_fails)
+    for routine in ("_dlasdq", "_dlasd6"):
+        monkeypatch.setattr(spectral, routine, _lapack_fails)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="14x14 chain"):
         solve(spec)
+
+
+@pytest.mark.parametrize("routine", ["lasdq", "lasd6"])
+def test_torn_route_failure_names_routine_and_chain_size(routine, monkeypatch):
+    # the defect on bond 2 sends the region's half through dlasdq
+    monkeypatch.setattr(spectral, f"_d{routine}", _lapack_fails)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed on 14x14 chain"):
+        half_filled_block(ChainSpec(14, "open", ((2, 0.5),)), 7)
+
+
+def test_torn_route_checks_merged_vector_norms(monkeypatch):
+    real = spectral._dlasd6
+
+    def dlasd6_drifts(*pointers):
+        real(*pointers)
+        # the twentieth argument points at the updated z
+        ctypes.c_double.from_address(pointers[19]).value *= 1.0 + 1e-9
+
+    monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
+    with pytest.raises(np.linalg.LinAlgError, match="14x14 chain.*norm is off 1"):
+        half_filled_block(homogeneous(14), 7)
 
 
 @pytest.mark.parametrize("spec, bond_axis", [
