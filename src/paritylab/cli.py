@@ -99,8 +99,10 @@ DEFAULTS = {
 #   31 MB at l = L/10 through 148 MB at l = L/2 to 319 MB at l = 0.9 L,
 #   for 6900 sites;
 # - "periodic": bond-centred rings, every ring a sweep plans, which solve
-#   one mirror sector of L/2 sites: 148 MB above the interpreter for 6002
-#   sites;
+#   one mirror sector of L/2 sites, torn after the region's last row while
+#   that row lies in the sector's first half: 143 MB above the interpreter
+#   for 6002 sites at l = L/10, 161 MB at l = L/4, the largest torn region,
+#   and 170 MB (4.7 L^2) at l = L/2, where the whole sector takes `stevd`;
 # - "dense": every orbital of `spectral.diagonalize`, which the zero-modes
 #   scan takes: 804 MB for an open chain of 6900 sites.
 PEAK_BYTES = {"open": 7.0, "periodic": 4.0, "dense": 17.0}

@@ -29,24 +29,26 @@ A ring's B has one corner element more.  Every ring a sweep plans has a
 mirror axis through two bonds (see `mirror_axis`), and there the
 sublattice sign S = diag((-1)^j), which flips H, also flips the
 reflection, so it maps the even mirror sector onto the odd one with every
-energy negated.  Q_A then follows from the eigenpairs of the even sector
-alone, a tridiagonal chain of L/2 sites.  Other rings read Q_A off the
-filled orbitals of `diagonalize`.
+energy negated.  Q_A then follows from the even sector alone, a
+tridiagonal chain of L/2 sites: from its eigenvalues and the rows of its
+eigenvectors that the region's sites fall on, all among the sector's
+first m rows, m the region's last orbit plus one.  The
+same kind of tear as on open chains gets them: cutting the sector after
+row m (Cuppen, Numer. Math. 36, 177, 1981) leaves the region's block and
+the rest, closed-form cosines when the rest carries no defect, and one
+rank-one secular merge (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
+172, 1995), LAPACK's ``dlaed8`` and ``dlaed9``, joins them.  Its
+eigenvectors are read out on the region's rows alone, so Q_A comes out
+exactly, not up to orthogonal factors.  A region whose rows reach past
+the sector's middle leaves the tear nothing to save and takes the whole
+sector's eigenpairs.  Other rings read Q_A off the filled orbitals of
+`diagonalize`.
 
-`diagonalize` returns every orbital, for any filling, taking one of
-three routes picked from the chain alone:
-
-- open chains are tridiagonal and go straight to LAPACK's tridiagonal
-  divide-and-conquer eigensolver on the bond hoppings;
-- a ring with a mirror axis (one that maps the bond pattern onto itself,
-  as every placed defect pattern and every clean ring has) splits into an
-  even and an odd sector under the reflection.  Each sector is an open
-  tridiagonal chain of about L/2 sites and goes to the same solver;
-- a ring without such an axis carries a corner element that no
-  reflection removes, and takes the dense symmetric solver.
-
-No route forms the dense matrix except the last, which stays the exact
-reference for the other two.
+`diagonalize` returns every orbital, for any filling, by one of two
+routes picked from the boundary: open chains are tridiagonal and go
+straight to LAPACK's tridiagonal divide-and-conquer eigensolver on the
+bond hoppings, and rings take the dense symmetric solver, which is the
+exact reference for every fast ring route.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import ctypes
 import dataclasses
 
 import numpy as np
+import scipy
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dstevd
 
@@ -70,8 +73,14 @@ def _lapack_symbol(name: str, n_args: int):
 
     The capsule is looked up under its own name, the C signature, which
     differs between scipy versions.  Every LAPACK argument is a pointer.
+    A scipy that does not export the routine raises ImportError naming
+    both.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    try:
+        capsule = cython_lapack.__pyx_capi__[name]
+    except KeyError:
+        raise ImportError(f"scipy {scipy.__version__} does not export LAPACK {name} "
+                          f"from scipy.linalg.cython_lapack") from None
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
@@ -85,9 +94,15 @@ _dlasdq = _lapack_symbol("dlasdq", 16)
 # (icompq, nl, nr, sqre, d, vf, vl, alpha, beta, idxq, perm, givptr, givcol,
 #  ldgcol, givnum, ldgnum, poles, difl, difr, z, k, c, s, work, iwork, info)
 _dlasd6 = _lapack_symbol("dlasd6", 26)
+# (icompq, k, n, qsiz, d, q, ldq, indxq, rho, cutpnt, z, dlamda, q2, ldq2, w,
+#  perm, givptr, givcol, givnum, indxp, indx, info)
+_dlaed8 = _lapack_symbol("dlaed8", 22)
+# (k, kstart, kstop, n, d, q, ldq, rho, dlamda, w, s, lds, info)
+_dlaed9 = _lapack_symbol("dlaed9", 13)
 
-# Largest deviation from 1 of the norm of a merged singular vector; measured
-# <= 1e-14 up to L = 6900.
+# Largest deviation from 1 of the norm of a merged singular vector of an
+# open chain (dlasd6) or secular eigenvector of a ring (dlaed9); measured
+# <= 1e-14 up to L = 6900 and <= 5e-15 up to L = 6002.
 MERGE_NORM_ATOL = 1e-12
 
 
@@ -129,16 +144,13 @@ class SpectralData:
 def diagonalize(spec: ChainSpec) -> SpectralData:
     """Diagonalize the single-particle Hamiltonian of a chain.
 
-    Three routes, all exact:
+    Two routes, both exact:
 
     - open chains: the tridiagonal divide-and-conquer solver (LAPACK
       ``stevd``) with zero diagonal and off-diagonal -J t_b;
-    - rings with a mirror axis (`mirror_axis`): the same solver on the
-      even and odd sectors of the reflection, about L/2 sites each, whose
-      eigenvectors unfold onto the ring with weights +-1/sqrt(2); the
-      dense L x L problem costs several times more already at L ~ 10^2;
-    - rings without one: ``numpy.linalg.eigh`` of `build_hamiltonian`,
-      the only exact route there and the reference for the other two.
+    - rings: ``numpy.linalg.eigh`` of `build_hamiltonian`, which shares
+      no code with the mirror-sector route of `half_filled_block` and is
+      its reference.
 
     ``stevd`` rather than the faster MRRR ``stemr``: MRRR orbitals are
     orthogonal only to ~1e-13 at L ~ 10^3, against ~1e-15 here, which
@@ -156,11 +168,8 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
         If LAPACK fails; the message names the chain size.
     """
     n = spec.n_sites
-    ratios = spec.bond_ratios()
     if spec.boundary == "open":
-        energies, orbitals = _tridiagonal(np.zeros(n), -spec.hopping * ratios, n)
-    elif (axis := mirror_axis(ratios)) is not None:
-        energies, orbitals = _mirror_ring(spec.hopping * ratios, axis)
+        energies, orbitals = _tridiagonal(np.zeros(n), -spec.hopping * spec.bond_ratios(), n)
     else:
         try:
             energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
@@ -185,8 +194,12 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
       side and takes `_end_block`;
     - rings whose mirror axis runs through two bonds (odd axis c, as on
       every ring a sweep plans): Q_A = V[r_odd] diag(sign E) V[r_even]^T
-      from the eigenpairs (E, V) of the even mirror sector alone, where
-      r maps each region site to its orbit's row (`_bond_axis_block`);
+      from the eigenvalues E of the even mirror sector and the rows r of
+      its eigenvectors V that the region's sites fall on
+      (`_bond_axis_block`).  A tear of the sector after the region's last
+      row m and one secular merge give those rows alone, in O(L^2 + m^2 L)
+      time and O(L^2) memory when the rest carries no defect; a region
+      whose rows reach past the sector's middle takes every eigenpair;
     - other rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's
       rows phi_A of the filled orbitals of `diagonalize`.
 
@@ -203,9 +216,10 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         If the Fermi gap, 2 sigma_min of B on open chains and 2 min |E| on
         bond-axis rings, fails `occupy`'s rule.
     numpy.linalg.LinAlgError
-        If LAPACK fails, or a merged singular vector of an open chain
-        misses unit norm by more than MERGE_NORM_ATOL; the message names
-        the chain size.
+        If LAPACK fails, or a merged singular vector of an open chain or
+        secular eigenvector of a ring misses unit norm by more than
+        MERGE_NORM_ATOL; the message names the routine and the chain
+        size.
     """
     n_filled = half_filling(spec)
     if region_len > spec.n_sites:
@@ -216,7 +230,7 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     if spec.boundary != "open":
         axis = mirror_axis(ratios)
         if axis is not None and axis % 2:
-            return _bond_axis_block(spec.hopping * ratios, axis, region_len)
+            return _bond_axis_block(ratios, spec.hopping, axis, region_len)
         phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
         return -2.0 * phi_a[0::2] @ phi_a[1::2].T
     n = spec.n_sites
@@ -323,7 +337,7 @@ def _merge_readout(rows_in: np.ndarray, rows_out: np.ndarray, order: np.ndarray,
     picked = x[support]
     for rows in _chunks(np.arange(k)):
         x[rows] = _secular_left(rows, support, *secular) @ picked
-    _check_unit_norm(np.linalg.norm(x, axis=0), n_sites)
+    _check_unit_norm(np.linalg.norm(x, axis=0), n_sites, "lasd6")
     # the rotations pair rows, so a region row may need its partner
     need = np.zeros(n, dtype=bool)
     need[rows_out] = True
@@ -333,7 +347,7 @@ def _merge_readout(rows_in: np.ndarray, rows_out: np.ndarray, order: np.ndarray,
     y = np.zeros_like(x)
     for inner in _chunks(rows[rows < k]):
         s_v = _secular_right(inner, *secular)
-        _check_unit_norm(np.linalg.norm(s_v, axis=1), n_sites)
+        _check_unit_norm(np.linalg.norm(s_v, axis=1), n_sites, "lasd6")
         y[order[inner]] = s_v @ x[:k]
     outer = rows[rows >= k]
     y[order[outer]] = x[outer]
@@ -383,11 +397,11 @@ def _secular_right(j, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
     return out
 
 
-def _check_unit_norm(norms: np.ndarray, n_sites: int) -> None:
+def _check_unit_norm(norms: np.ndarray, n_sites: int, routine: str) -> None:
     deviation = np.abs(norms - 1.0).max(initial=0.0)
     if deviation > MERGE_NORM_ATOL:
-        raise _solver_error("lasd6 merge", n_sites, f"a merged vector's norm is off 1 by "
-                            f"{deviation:.1e}")
+        raise _solver_error(f"{routine} merge", n_sites, f"a merged vector's norm is off 1 "
+                            f"by {deviation:.1e}")
 
 
 def _segment(ratios: np.ndarray, hopping: float, n_sites: int):
@@ -447,7 +461,8 @@ def _end_block(ratios: np.ndarray, hopping: float, m: int) -> np.ndarray:
     return np.full(((m + 1) // 2, m // 2), u[0] @ vt[:, 0])
 
 
-def _bond_axis_block(hoppings: np.ndarray, axis: int, region_len: int) -> np.ndarray:
+def _bond_axis_block(ratios: np.ndarray, hopping: float, axis: int,
+                     region_len: int) -> np.ndarray:
     """Q_A of a half-filled ring of even length L whose mirror axis c is
     odd, from the even mirror sector alone.
 
@@ -458,18 +473,144 @@ def _bond_axis_block(hoppings: np.ndarray, axis: int, region_len: int) -> np.nda
     where E_k < 0 and S v_k where E_k > 0; both unfold with weight
     1/sqrt(2) onto the two sites of each orbit, and on the odd-even block
     of sign H, which is Q, their terms add to v_k v_k^T sign(E_k).
+
+    Only the region's rows of the v_k enter, and they lie in the sector's
+    first m rows, m the region's last orbit plus one.  While the rest of
+    the sector is at least as long as that block (2m <= L/2),
+    `_torn_sector` reads them from a tear after row m.  Past that, the
+    tear's merge and readout would take about as long as ``stevd`` of the
+    whole sector and more memory, so every eigenpair comes from ``stevd``.
     """
-    n = hoppings.size
-    sites, mirror, on_axis_bond = _mirror_orbits(hoppings, axis)
-    energies, orbitals = _tridiagonal(-on_axis_bond, -hoppings[sites[:-1]], n)
+    n_sites = ratios.size
+    sites, mirror, on_axis_bond = _mirror_orbits(ratios, axis)
+    n = sites.size
+    row = np.empty(n_sites, dtype=np.intp)
+    row[sites] = np.arange(n)
+    row[mirror] = np.arange(n)
+    rows = row[:region_len]
+    m = int(rows.max()) + 1
+    diagonal = -hopping * on_axis_bond
+    off_diagonal = -hopping * ratios[sites[:-1]]
+    if 2 * m <= n:
+        # the rest has closed form when its bonds, the torn one and the far
+        # on-axis bond included, all carry the plain hopping
+        clean = np.all(ratios[sites[m - 1:-1]] == 1.0) and on_axis_bond[-1] == 1.0
+        energies, q_a = _torn_sector(diagonal, off_diagonal, m, rows,
+                                     hopping if clean else None, n_sites)
+    else:
+        energies, orbitals = _tridiagonal(diagonal, off_diagonal, n_sites)
+        q_a = (orbitals[rows[0::2]] * np.sign(energies)) @ orbitals[rows[1::2]].T
     # H has eigenvalues -+|E_k|, and half filling fills the lower L/2
     magnitudes = np.abs(energies)
-    _check_gap(2.0 * magnitudes.min(), 2.0 * magnitudes.max(), n // 2, n)
-    row = np.empty(n, dtype=np.intp)
-    row[sites] = np.arange(sites.size)
-    row[mirror] = np.arange(sites.size)
-    rows = row[:region_len]
-    return (orbitals[rows[0::2]] * np.sign(energies)) @ orbitals[rows[1::2]].T
+    _check_gap(2.0 * magnitudes.min(), 2.0 * magnitudes.max(), n_sites // 2, n_sites)
+    return q_a
+
+
+def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: np.ndarray,
+                 rest_hopping: float | None, n_sites: int):
+    """Eigenvalues E of a symmetric tridiagonal T of order n, and
+    V[rows[0::2]] diag(sign E) V[rows[1::2]]^T over its eigenvectors V,
+    rows all below m, from one tear of T after row m.
+
+    In LAPACK's divide-and-conquer convention (``dstedc``), with beta =
+    T[m - 1, m], T = diag(T_1, T_2) + |beta| v v^T where T_1 and T_2 are
+    T[:m, :m] and T[m:, m:] less |beta| at the corners the tear touches,
+    and v holds the last row of T_1's eigenvectors and sign(beta) times
+    the first row of T_2's (Cuppen, Numer. Math. 36, 177, 1981).  T_1
+    takes ``stevd``, T_2 `_sector_rest`: closed form when it is clean,
+    its hopping J given as rest_hopping, and ``stevd`` otherwise.
+    ``dlaed8`` deflates the merged problem (tied poles rotated, small
+    components of v dropped, then sorted), and ``dlaed9`` solves the
+    secular equation for the K remaining roots and their eigenvectors S,
+    z recomputed from the roots so that S is orthogonal (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16, 172, 1995).  T's eigenvectors are
+    X diag(S, I) with X = diag(Q_1, Q_2) G P, G the rotations and P the
+    order ``dlaed8`` reports.  On rows below m only Q_1 enters X, and
+    only the p columns of X's first K where those rows are nonzero meet
+    S, so the result is X_odd M X_even^T with M = S_p diag(sign E) S_p^T
+    over those columns, plus the deflated columns' terms: O(p^2 K) time
+    and no n x n array but S and dlaed9's workspace, ~2 n^2 doubles as
+    for ``stevd`` of all of T.
+
+    Every column of S must have unit norm within MERGE_NORM_ATOL.
+    """
+    n = diagonal.size
+    beta = off_diagonal[m - 1]
+    upper = diagonal[:m].copy()
+    upper[-1] -= abs(beta)
+    values_up, vectors_up = _tridiagonal(upper, off_diagonal[:m - 1], n_sites)
+    lower = diagonal[m:].copy()
+    lower[0] -= abs(beta)
+    values_low, first_low = _sector_rest(lower, off_diagonal[m:], rest_hopping, n_sites)
+    d = np.concatenate([values_up, values_low])
+    z = np.concatenate([vectors_up[-1], first_low])
+    # only the region's rows of T_1's eigenvectors outlive the merge
+    region_up = vectors_up[rows]
+    del vectors_up
+    rho = np.array([beta])
+    # each block's eigenvalues are ascending already
+    idxq = np.concatenate([np.arange(1, m + 1), np.arange(1, n - m + 1)]).astype(np.intc)
+    k, givptr, perm, givcol = (np.zeros(size, dtype=np.intc) for size in (1, 1, n, 2 * n))
+    dlamda, w, givnum = np.zeros(n), np.zeros(n), np.zeros(2 * n)
+    unused = np.zeros(1)
+    _lapack(_dlaed8, "laed8", n_sites, 0, k, n, n, d, unused, n, idxq, rho, m, z, dlamda,
+            unused, n, w, perm, givptr, givcol, givnum, np.empty(n, dtype=np.intc),
+            np.empty(n, dtype=np.intc))
+    k = int(k[0])
+    secular = np.empty((k, k), order="F")
+    if k:
+        _lapack(_dlaed9, "laed9", n_sites, k, 1, k, n, d, np.empty(k * k), k, rho, dlamda,
+                w, secular, k)
+        # column norms without a K x K temporary
+        _check_unit_norm(np.sqrt(np.einsum("ij,ij->j", secular, secular)), n_sites, "laed9")
+    # X on the region's rows, rotated as dlaed8 rotated its columns (GIVCOL
+    # and GIVNUM are 2 x n, column-major)
+    x = np.zeros((rows.size, n))
+    x[:, :m] = region_up
+    for g in range(givptr[0]):
+        a, b = givcol[2 * g] - 1, givcol[2 * g + 1] - 1
+        c, s = givnum[2 * g], givnum[2 * g + 1]
+        x[:, a], x[:, b] = c * x[:, a] + s * x[:, b], c * x[:, b] - s * x[:, a]
+    # its columns nonzero there, in dlaed8's order: the first K meet S, the
+    # deflated ones are eigenvectors already
+    columns = perm - 1
+    nonzero = x.any(axis=0)[columns]
+    deflated = np.flatnonzero(nonzero[k:]) + k
+    x_d = x[:, columns[deflated]]
+    q_a = (x_d[0::2] * np.sign(d[deflated])) @ x_d[1::2].T
+    support = np.flatnonzero(nonzero[:k])
+    y = x[:, columns[support]]
+    del x  # bounds the peak while S is read below
+    # S_p diag(sign E) S_p^T, a block of S's columns at a time
+    signs = np.sign(d[:k])
+    inner = np.zeros((support.size, support.size))
+    for start in range(0, k, 256):
+        block = secular[support, start:start + 256]
+        inner += (block * signs[start:start + 256]) @ block.T
+    q_a += y[0::2] @ inner @ y[1::2].T
+    return d, q_a
+
+
+def _sector_rest(diagonal: np.ndarray, off_diagonal: np.ndarray, hopping: float | None,
+                 n_sites: int):
+    """Eigenvalues, ascending, and the first components of the eigenvectors
+    of the rest T_2 of a torn mirror sector (`_torn_sector`).
+
+    A clean T_2 (hopping J given) of order n_2 has -J on every off-diagonal
+    entry and at both corners, 0 between: -J times the adjacency matrix of
+    a path with reflecting ends, whose eigenvectors are the DCT-II vectors
+    cos(pi k (x + 1/2) / n_2), x = 0..n_2-1, with E_k = -2J cos(pi k / n_2).
+    Other rests take ``stevd``.
+    """
+    n = diagonal.size
+    if hopping is not None:
+        k = np.arange(n)
+        # cosines as sines: full relative accuracy near the band centre
+        values = -2.0 * hopping * np.sin(0.5 * np.pi * (n - 2 * k) / n)
+        first = np.sqrt(np.where(k == 0, 1.0, 2.0) / n) * np.sin(0.5 * np.pi * (n - k) / n)
+        return values, first
+    values, vectors = _tridiagonal(diagonal, off_diagonal, n_sites)
+    return values, vectors[0].copy()
 
 
 def _solver_error(routine: str, n_sites: int, detail) -> np.linalg.LinAlgError:
@@ -518,7 +659,7 @@ def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray, n_sites: int):
     return energies, orbitals
 
 
-def _mirror_orbits(hoppings: np.ndarray, axis: int):
+def _mirror_orbits(bonds: np.ndarray, axis: int):
     """Orbits of the reflection j -> (axis - j) mod L of a ring.
 
     Sites lying at half-positions axis..axis+L (site j at 2j, bond b's
@@ -529,52 +670,21 @@ def _mirror_orbits(hoppings: np.ndarray, axis: int):
     and odd sector as the diagonal entry -t and +t.
 
     Returns (sites, mirror, on_axis_bond): the half-arc's sites, the
-    image of each, and the hopping t of an on-axis bond at either end of
-    the half-arc (0 elsewhere).  Bond sites[i] joins sites[i] and
+    image of each, and the entry of the per-bond array `bonds` (ratios or
+    hoppings) for an on-axis bond at either end of the half-arc (0
+    elsewhere).  Bond sites[i] joins sites[i] and
     sites[i + 1].
     """
-    n = hoppings.size
+    n = bonds.size
     sites = np.arange((axis + 1) // 2, (axis + n) // 2 + 1)
     mirror = (axis - sites) % n
     sites %= n
     on_axis_bond = np.zeros(sites.size)
     if axis % 2:
-        on_axis_bond[0] = hoppings[mirror[0]]
+        on_axis_bond[0] = bonds[mirror[0]]
     if (axis + n) % 2:
-        on_axis_bond[-1] = hoppings[sites[-1]]
+        on_axis_bond[-1] = bonds[sites[-1]]
     return sites, mirror, on_axis_bond
-
-
-def _mirror_ring(hoppings: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a ring symmetric under j -> (axis - j) mod L.
-
-    Each mirror sector is a tridiagonal chain over the orbits of
-    `_mirror_orbits`.  An on-axis site has even amplitude only and couples
-    to its neighbour orbit with weight sqrt(2); the odd sector leaves it
-    out.
-    """
-    n = hoppings.size
-    sites, mirror, on_axis_bond = _mirror_orbits(hoppings, axis)
-    on_axis_site = sites == mirror
-    pair = ~on_axis_site
-    bonds = hoppings[sites[:-1]]
-
-    even_energies, even = _tridiagonal(
-        -on_axis_bond,
-        -bonds * np.where(on_axis_site[:-1] | on_axis_site[1:], np.sqrt(2.0), 1.0), n)
-    odd_energies, odd = _tridiagonal(on_axis_bond[pair], -bonds[pair[:-1] & pair[1:]], n)
-
-    n_even = even_energies.size
-    orbitals = np.zeros((n, n))
-    even *= np.where(on_axis_site, 1.0, np.sqrt(0.5))[:, None]
-    orbitals[sites, :n_even] = even
-    orbitals[mirror, :n_even] = even
-    odd *= np.sqrt(0.5)
-    orbitals[sites[pair], n_even:] = odd
-    orbitals[mirror[pair], n_even:] = -odd
-    energies = np.concatenate([even_energies, odd_energies])
-    order = np.argsort(energies, kind="stable")
-    return energies[order], orbitals[:, order]
 
 
 def occupy(spectral: SpectralData, n_particles: int) -> np.ndarray:
