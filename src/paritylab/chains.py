@@ -108,10 +108,6 @@ class ImpurityPattern:
             if self.ratios[0] != self.ratios[1]:
                 raise ValueError("dot pattern requires equal ratios on both bonds")
 
-    @property
-    def n_imp(self) -> int:
-        return len(self.ratios)
-
     def bond_indices(self) -> tuple[int, ...]:
         """Bond indices the pattern occupies, in increasing order."""
         if self.kind == "single":

@@ -93,7 +93,8 @@ DEFAULTS = {
 
 # Largest chain a plan may hold.  One solve's peak memory above the
 # imported interpreter (~60 MB), in bytes per L^2, by the route the plan
-# takes (ru_maxrss of one `sweeps.measure` or `spectral.diagonalize`):
+# takes, the largest over region lengths (ru_maxrss of one
+# `sweeps.measure` or `spectral.diagonalize`):
 # - "open": half-filled open chains, torn at the region's border
 #   (`spectral.half_filled_block`); the peak grows with the region, from
 #   31 MB at l = L/10 through 148 MB at l = L/2 to 319 MB at l = 0.9 L,
@@ -105,7 +106,7 @@ DEFAULTS = {
 #   and 170 MB (4.7 L^2) at l = L/2, where the whole sector takes `stevd`;
 # - "dense": every orbital of `spectral.diagonalize`, which the zero-modes
 #   scan takes: 804 MB for an open chain of 6900 sites.
-PEAK_BYTES = {"open": 7.0, "periodic": 4.0, "dense": 17.0}
+PEAK_BYTES = {"open": 7.0, "periodic": 4.7, "dense": 17.0}
 MAX_SITES = 10_000
 
 

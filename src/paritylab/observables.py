@@ -58,7 +58,6 @@ class Region:
 class RegionObservables:
     """Entropy and number fluctuation of one region."""
 
-    region: Region
     entropy: float
     fluctuation: float
 
@@ -138,7 +137,6 @@ def region_observables(g: np.ndarray, region: Region) -> RegionObservables:
     g_a = restrict(g, region)
     nu = occupation_spectrum(g_a)
     return RegionObservables(
-        region=region,
         entropy=entanglement_entropy(nu),
         fluctuation=charge_fluctuation(nu),
     )

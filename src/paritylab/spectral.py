@@ -59,7 +59,6 @@ import dataclasses
 import numpy as np
 import scipy
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dstevd
 
 from .chains import ChainSpec, build_hamiltonian
 
@@ -68,8 +67,9 @@ DEGENERACY_RTOL = 1e-12
 
 
 def _lapack_symbol(name: str, n_args: int):
-    """A LAPACK routine that scipy.linalg.lapack does not wrap, called
-    through the pointer scipy.linalg.cython_lapack exports for it.
+    """A LAPACK routine, called through the pointer
+    scipy.linalg.cython_lapack exports for it; every routine here is
+    reached this way, whether or not scipy.linalg.lapack also wraps it.
 
     The capsule is looked up under its own name, the C signature, which
     differs between scipy versions.  Every LAPACK argument is a pointer.
@@ -89,6 +89,8 @@ def _lapack_symbol(name: str, n_args: int):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
+# (jobz, n, d, e, z, ldz, work, lwork, iwork, liwork, info)
+_dstevd = _lapack_symbol("dstevd", 11)
 # (uplo, sqre, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
 _dlasdq = _lapack_symbol("dlasdq", 16)
 # (icompq, nl, nr, sqre, d, vf, vl, alpha, beta, idxq, perm, givptr, givcol,
@@ -128,15 +130,12 @@ class SpectralData:
 
     Attributes
     ----------
-    spec : ChainSpec
-        The chain that was diagonalized.
     energies : ndarray, shape (n,)
         Eigenvalues in ascending order.
     orbitals : ndarray, shape (n, n)
         Orthonormal eigenvectors, column k belonging to energies[k].
     """
 
-    spec: ChainSpec
     energies: np.ndarray
     orbitals: np.ndarray
 
@@ -175,7 +174,7 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
             energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
         except np.linalg.LinAlgError as err:
             raise _solver_error("eigh", n, err) from err
-    return SpectralData(spec=spec, energies=energies, orbitals=orbitals)
+    return SpectralData(energies=energies, orbitals=orbitals)
 
 
 def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
@@ -650,12 +649,14 @@ def mirror_axis(ratios: np.ndarray) -> int | None:
 def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray, n_sites: int):
     """Eigenpairs of a symmetric tridiagonal matrix by LAPACK ``stevd``, for
     a chain of n_sites (which a mirror sector is part of)."""
-    # the wrapper wants at least one off-diagonal entry even for 1 x 1
-    if off_diagonal.size == 0:
-        off_diagonal = np.zeros(1)
-    energies, orbitals, info = dstevd(diagonal, off_diagonal)
-    if info != 0:
-        raise _solver_error("stevd", n_sites, f"info={info}")
+    n = diagonal.size
+    energies = np.array(diagonal, dtype=float)
+    e = np.zeros(n)
+    e[:n - 1] = off_diagonal
+    orbitals = np.empty((n, n), order="F")
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    _lapack(_dstevd, "stevd", n_sites, b"V", n, energies, e, orbitals, n, np.empty(lwork),
+            lwork, np.empty(liwork, dtype=np.intc), liwork)
     return energies, orbitals
 
 

@@ -266,7 +266,7 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
     for name, config, gigabytes in (
             ("open", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[400, 20000]), 2.8),
             ("ring", dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8],
-                          sizes=[20002]), 1.6),
+                          sizes=[20002]), 1.88),
             ("dense", dict(scenario="zero-modes", lead=4994), 1.7)):
         cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
         assert cli.main(["run", cfg]) == 2, name

@@ -323,11 +323,7 @@ def test_solver_failure_names_chain_size(spec, solve, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
-    def stevd_fails(d, e):
-        return d, np.eye(d.size), 3
-
-    monkeypatch.setattr(spectral, "dstevd", stevd_fails)
-    for routine in ("_dlasdq", "_dlasd6", "_dlaed8", "_dlaed9"):
+    for routine in ("_dstevd", "_dlasdq", "_dlasd6", "_dlaed8", "_dlaed9"):
         monkeypatch.setattr(spectral, routine, _lapack_fails)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(np.linalg.LinAlgError, match="14x14 chain"):
