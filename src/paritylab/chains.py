@@ -2,13 +2,14 @@
 
 Single-particle Hamiltonians for spinless fermions hopping on a chain,
 
-    H = -J sum_b t_b (|b><b+1| + |b+1><b|),
+    H = -sum_b t_b (|b><b+1| + |b+1><b|),
 
-where t_b = 1 on plain bonds and t_b = lambda on modified ones.  Bonds and
-sites are indexed from 1; bond b couples sites (b, b+1), and on a ring the
-last bond couples (n_sites, 1).  Defect patterns (a single weak/strong bond,
-a two-bond dot, or an alternating block) are placed by bond index so that a
-pattern can sit exactly at the border of a subsystem.
+where t_b = 1 on plain bonds and t_b = lambda on modified ones: the plain
+hopping J = 1 is the energy unit of every energy here.  Bonds and sites are
+indexed from 1; bond b couples sites (b, b+1), and on a ring the last bond
+couples (n_sites, 1).  A defect pattern (a single weak/strong bond, a
+two-bond dot, or an alternating block) is its (bond, ratio) pairs, placed by
+bond index so that a pattern can sit exactly at the border of a subsystem.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import math
 import numpy as np
 
 BOUNDARIES = ("open", "periodic")
-PATTERN_KINDS = ("single", "dot", "alternating")
 # Subsystem parities of a parity pair, even member first.
 PARITIES = ("even", "odd")
+# (bond, ratio) pairs of a defect pattern.
+Pattern = tuple[tuple[int, float], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,24 +38,19 @@ class ChainSpec:
         Either ``"open"`` or ``"periodic"``.
     modified_bonds : tuple of (int, float)
         Pairs ``(bond_index, ratio)``; the hopping on that bond is
-        ``ratio * J``.  Ratios must be positive and finite, indices unique
-        and within range.
-    hopping : float
-        Overall hopping scale J (energy unit), default 1.
+        ``ratio``.  Ratios must be positive and finite, indices unique and
+        within range.
     """
 
     n_sites: int
     boundary: str = "open"
-    modified_bonds: tuple[tuple[int, float], ...] = ()
-    hopping: float = 1.0
+    modified_bonds: Pattern = ()
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites, got {self.n_sites}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
-        if not 0 < self.hopping < math.inf:
-            raise ValueError(f"hopping scale must be positive and finite, got {self.hopping}")
         seen = set()
         for bond, ratio in self.modified_bonds:
             if not 1 <= bond <= self.n_bonds:
@@ -77,65 +74,24 @@ class ChainSpec:
         return t
 
 
-@dataclasses.dataclass(frozen=True)
-class ImpurityPattern:
-    """A defect pattern before placement on a concrete chain.
-
-    kind "single" is one modified bond; "dot" is two successive bonds of
-    equal ratio isolating the site between them; "alternating" modifies
-    bonds anchor, anchor+2, ... leaving plain bonds in between.
-    ``ratios`` holds one value per modified bond.
-    """
-
-    kind: str
-    anchor: int
-    ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in PATTERN_KINDS:
-            raise ValueError(f"kind must be one of {PATTERN_KINDS}, got {self.kind!r}")
-        if self.anchor < 1:
-            raise ValueError(f"anchor bond must be >= 1, got {self.anchor}")
-        if not self.ratios:
-            raise ValueError("pattern needs at least one bond ratio")
-        if any(r <= 0 for r in self.ratios):
-            raise ValueError("bond ratios must be positive")
-        if self.kind == "single" and len(self.ratios) != 1:
-            raise ValueError("single-bond pattern takes exactly one ratio")
-        if self.kind == "dot":
-            if len(self.ratios) != 2:
-                raise ValueError("dot pattern takes exactly two ratios")
-            if self.ratios[0] != self.ratios[1]:
-                raise ValueError("dot pattern requires equal ratios on both bonds")
-
-    def bond_indices(self) -> tuple[int, ...]:
-        """Bond indices the pattern occupies, in increasing order."""
-        if self.kind == "single":
-            return (self.anchor,)
-        if self.kind == "dot":
-            return (self.anchor, self.anchor + 1)
-        return tuple(self.anchor + 2 * i for i in range(len(self.ratios)))
+def single_impurity(ratio: float, bond: int) -> Pattern:
+    """One modified bond of hopping ratio at the given bond index."""
+    return ((bond, float(ratio)),)
 
 
-def single_impurity(ratio: float, bond: int) -> ImpurityPattern:
-    """One modified bond of strength ratio*J at the given bond index."""
-    return ImpurityPattern("single", bond, (float(ratio),))
-
-
-def dot_impurity(ratio: float, bond: int) -> ImpurityPattern:
+def dot_impurity(ratio: float, bond: int) -> Pattern:
     """Two equal modified bonds at (bond, bond+1), weakly coupling site bond+1."""
-    return ImpurityPattern("dot", bond, (float(ratio), float(ratio)))
+    return ((bond, float(ratio)), (bond + 1, float(ratio)))
 
 
-def alternating_block(ratio: float, anchor: int, n_imp: int) -> ImpurityPattern:
+def alternating_block(ratio: float, anchor: int, n_imp: int) -> Pattern:
     """n_imp equal modified bonds at anchor, anchor+2, ..., every other bond."""
     if n_imp < 1:
         raise ValueError(f"need at least one modified bond, got {n_imp}")
-    return ImpurityPattern("alternating", anchor, (float(ratio),) * n_imp)
+    return tuple((anchor + 2 * i, float(ratio)) for i in range(n_imp))
 
 
-def place_pattern(pattern: ImpurityPattern, n_sites: int, boundary: str = "open",
-                  hopping: float = 1.0) -> ChainSpec:
+def place_pattern(pattern: Pattern, n_sites: int, boundary: str = "open") -> ChainSpec:
     """Place a defect pattern on a chain of n_sites sites.
 
     Returns
@@ -144,16 +100,12 @@ def place_pattern(pattern: ImpurityPattern, n_sites: int, boundary: str = "open"
         Chain with the pattern's bonds modified.  Raises ``ValueError``
         if any pattern bond falls outside the chain.
     """
-    bonds = pattern.bond_indices()
-    spec = ChainSpec(n_sites=n_sites, boundary=boundary,
-                     modified_bonds=tuple(zip(bonds, pattern.ratios)),
-                     hopping=hopping)
-    return spec
+    return ChainSpec(n_sites=n_sites, boundary=boundary, modified_bonds=tuple(pattern))
 
 
-def homogeneous(n_sites: int, boundary: str = "open", hopping: float = 1.0) -> ChainSpec:
+def homogeneous(n_sites: int, boundary: str = "open") -> ChainSpec:
     """Defect-free chain."""
-    return ChainSpec(n_sites=n_sites, boundary=boundary, hopping=hopping)
+    return ChainSpec(n_sites=n_sites, boundary=boundary)
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
@@ -166,11 +118,11 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     Returns
     -------
     ndarray, shape (n_sites, n_sites)
-        Real symmetric matrix with H[i, i+1] = -J t_{i+1} in 0-based
+        Real symmetric matrix with H[i, i+1] = -t_{i+1} in 0-based
         storage; site j of the spec is row j-1.
     """
     n = spec.n_sites
-    t = spec.bond_ratios() * spec.hopping
+    t = spec.bond_ratios()
     h = np.zeros((n, n))
     for b in range(n - 1):
         h[b, b + 1] = -t[b]

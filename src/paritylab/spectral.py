@@ -31,18 +31,18 @@ sublattice sign S = diag((-1)^j), which flips H, also flips the
 reflection, so it maps the even mirror sector onto the odd one with every
 energy negated.  Q_A then follows from the even sector alone, a
 tridiagonal chain of L/2 sites: from its eigenvalues and the rows of its
-eigenvectors that the region's sites fall on, all among the sector's
-first m rows, m the region's last orbit plus one.  The
-same kind of tear as on open chains gets them: cutting the sector after
-row m (Cuppen, Numer. Math. 36, 177, 1981) leaves the region's block and
-the rest, closed-form cosines when the rest carries no defect, and one
-rank-one secular merge (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16,
-172, 1995), LAPACK's ``dlaed8`` and ``dlaed9``, joins them.  Its
-eigenvectors are read out on the region's rows alone, so Q_A comes out
-exactly, not up to orthogonal factors.  A region whose rows reach past
-the sector's middle leaves the tear nothing to save and takes the whole
-sector's eigenpairs.  Other rings read Q_A off the filled orbitals of
-`diagonalize`.
+eigenvectors that the region's sites fall on.  The sector is oriented from
+the region's side, reversed if need be, so that those rows are all among
+its first m, m the region's last row plus one.  The same kind of tear as
+on open chains gets them: cutting the sector after row m (Cuppen, Numer.
+Math. 36, 177, 1981) leaves the region's block and the rest, closed-form
+cosines, and one rank-one secular merge (Gu & Eisenstat, SIAM J. Matrix
+Anal. Appl. 16, 172, 1995), LAPACK's ``dlaed8`` and ``dlaed9``, joins
+them.  Its eigenvectors are read out on the region's rows alone, so Q_A
+comes out exactly, not up to orthogonal factors.  The tear is taken only
+when the rest carries no defect and the region's rows do not reach past
+the sector's middle; otherwise the whole sector's eigenpairs are taken.
+Other rings read Q_A off the filled orbitals of `diagonalize`.
 
 `diagonalize` returns every orbital, for any filling, by one of two
 routes picked from the boundary: open chains are tridiagonal and go
@@ -146,7 +146,7 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
     Two routes, both exact:
 
     - open chains: the tridiagonal divide-and-conquer solver (LAPACK
-      ``stevd``) with zero diagonal and off-diagonal -J t_b;
+      ``stevd``) with zero diagonal and off-diagonal -t_b;
     - rings: ``numpy.linalg.eigh`` of `build_hamiltonian`, which shares
       no code with the mirror-sector route of `half_filled_block` and is
       its reference.
@@ -168,7 +168,7 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
     """
     n = spec.n_sites
     if spec.boundary == "open":
-        energies, orbitals = _tridiagonal(np.zeros(n), -spec.hopping * spec.bond_ratios(), n)
+        energies, orbitals = _tridiagonal(np.zeros(n), -spec.bond_ratios(), n)
     else:
         try:
             energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
@@ -195,10 +195,11 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
       every ring a sweep plans): Q_A = V[r_odd] diag(sign E) V[r_even]^T
       from the eigenvalues E of the even mirror sector and the rows r of
       its eigenvectors V that the region's sites fall on
-      (`_bond_axis_block`).  A tear of the sector after the region's last
-      row m and one secular merge give those rows alone, in O(L^2 + m^2 L)
-      time and O(L^2) memory when the rest carries no defect; a region
-      whose rows reach past the sector's middle takes every eigenpair;
+      (`_bond_axis_block`).  With the sector oriented from the region's
+      side, a tear after the region's last row m and one secular merge
+      give those rows alone, in O(L^2 + m^2 L) time and O(L^2) memory,
+      when the rest carries no defect; a region whose rows reach past the
+      sector's middle, or a rest with a defect, takes every eigenpair;
     - other rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's
       rows phi_A of the filled orbitals of `diagonalize`.
 
@@ -229,7 +230,7 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     if spec.boundary != "open":
         axis = mirror_axis(ratios)
         if axis is not None and axis % 2:
-            return _bond_axis_block(ratios, spec.hopping, axis, region_len)
+            return _bond_axis_block(ratios, axis, region_len)
         phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
         return -2.0 * phi_a[0::2] @ phi_a[1::2].T
     n = spec.n_sites
@@ -238,20 +239,19 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     odd = region_len % 2 == 1
     torn = region_len + 1 if odd else n - region_len
     if 4 <= torn <= n - 2:
-        return _torn_block(ratios if odd else ratios[::-1], spec.hopping, torn, odd)
+        return _torn_block(ratios if odd else ratios[::-1], torn, odd)
     # a pure state: the region's occupations other than 0 and 1 are those
     # of its complement, the L - l sites at the far end; the shorter of the
     # two has at most two sites, and each site more adds a singular value 1
     short = min(region_len, n - region_len)
-    w = _end_block(ratios if short == region_len else ratios[::-1], spec.hopping, short)
+    w = _end_block(ratios if short == region_len else ratios[::-1], short)
     pad = region_len // 2 - short // 2
     q_a = np.eye((region_len + 1) // 2, region_len // 2)
     q_a[pad:, pad:] = w
     return q_a
 
 
-def _torn_block(ratios: np.ndarray, hopping: float, torn: int,
-                region_first: bool) -> np.ndarray:
+def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray:
     """Q_A of a half-filled open chain up to orthogonal factors on each
     side, from a tear of C = B^T at row `torn`, the even site next to the
     region's border, with the region before it (region_first) or after it.
@@ -259,7 +259,7 @@ def _torn_block(ratios: np.ndarray, hopping: float, torn: int,
     C is upper bidiagonal, rows on even sites and columns on odd ones.
     Without row `torn` it splits into an upper block over sites
     1..torn-1 (NL x NL+1) and a lower block over torn+1..L (NR x NR);
-    the row holds alpha = -J t_{torn-1} and beta = -J t_torn.  ``dlasd6``
+    the row holds alpha = -t_{torn-1} and beta = -t_torn.  ``dlasd6``
     merges the two from their singular values and the components of their
     right singular vectors next to the tear (`_segment`) into
     C = U Sigma V^T with U = diag(U_1, 1, U_2) U_m and V = diag(V_1, V_2) V_m,
@@ -272,15 +272,15 @@ def _torn_block(ratios: np.ndarray, hopping: float, torn: int,
     nl, nr = torn // 2 - 1, (n_sites - torn) // 2
     n = nl + nr + 1
     # each block read from the tear outwards: the upper one backwards
-    sigma_up, end_up = _segment(ratios[:torn - 2][::-1], hopping, n_sites)
-    sigma_low, end_low = _segment(ratios[torn:], hopping, n_sites)
+    sigma_up, end_up = _segment(ratios[:torn - 2][::-1], n_sites)
+    sigma_low, end_low = _segment(ratios[torn:], n_sites)
     sigma = np.concatenate([sigma_up, [0.0], sigma_low])
     # the upper block's first and the lower block's last components enter
     # only dlasd6's update of them, for a further merge this one never has
     first = np.concatenate([np.zeros(nl + 1), end_low])
     last = np.concatenate([end_up, np.zeros(nr)])
-    alpha = np.array([-hopping * ratios[torn - 2]])
-    beta = np.array([-hopping * ratios[torn - 1]])
+    alpha = np.array([-ratios[torn - 2]])
+    beta = np.array([-ratios[torn - 1]])
     # each block's singular values are ascending already
     idxq = np.concatenate([np.arange(1, nl + 1), [0], np.arange(1, nr + 1)]).astype(np.intc)
     perm, givptr, givcol, k = (np.zeros(size, dtype=np.intc) for size in (n, 1, 2 * n, 1))
@@ -403,14 +403,14 @@ def _check_unit_norm(norms: np.ndarray, n_sites: int, routine: str) -> None:
                             f"by {deviation:.1e}")
 
 
-def _segment(ratios: np.ndarray, hopping: float, n_sites: int):
+def _segment(ratios: np.ndarray, n_sites: int):
     """Singular values, ascending, and the first components of the right
     singular vectors of one block of C: the segment of m sites that these
     bond ratios join, its first site a column.
 
     A segment of m = 2k + 1 sites is a k x (k+1) block whose null vector
     comes last; one of m = 2k sites is k x k.  A segment without defects
-    is a clean open chain, whose orbital j has E = -+2J cos(theta_j),
+    is a clean open chain, whose orbital j has E = -+2 cos(theta_j),
     theta_j = pi j / (m + 1), and amplitude sqrt(2 / (m + 1)) sin(theta_j x)
     on site x, half of its weight on the columns except for the zero mode.
     Other segments take ``dlasdq`` with one column of V^T.
@@ -420,12 +420,12 @@ def _segment(ratios: np.ndarray, hopping: float, n_sites: int):
     if np.all(ratios == 1.0):
         j = np.arange(k, 0, -1)
         # cos(theta_j) as a sine: full relative accuracy near the band centre
-        sigma = 2.0 * hopping * np.sin(0.5 * np.pi * (m + 1 - 2 * j) / (m + 1))
+        sigma = 2.0 * np.sin(0.5 * np.pi * (m + 1 - 2 * j) / (m + 1))
         first = np.empty(k + sqre)
         first[:k] = 2.0 / np.sqrt(m + 1) * np.sin(np.pi * j / (m + 1))
         first[k:] = np.sqrt(2.0 / (m + 1))  # the zero mode, on the columns only
         return sigma, first
-    hoppings = -hopping * ratios
+    hoppings = -ratios
     sigma = hoppings[0::2].copy()
     e = np.zeros(k)
     e[:k - 1 + sqre] = hoppings[1::2]
@@ -437,7 +437,7 @@ def _segment(ratios: np.ndarray, hopping: float, n_sites: int):
     return sigma, first
 
 
-def _end_block(ratios: np.ndarray, hopping: float, m: int) -> np.ndarray:
+def _end_block(ratios: np.ndarray, m: int) -> np.ndarray:
     """Sublattice block, shape (ceil(m/2), floor(m/2)), of the first m <= 2
     sites of a half-filled open chain, with the Fermi-gap check.
 
@@ -447,7 +447,7 @@ def _end_block(ratios: np.ndarray, hopping: float, m: int) -> np.ndarray:
     """
     n_sites = ratios.size + 1
     n = n_sites // 2
-    hoppings = -hopping * ratios
+    hoppings = -ratios
     sigma = hoppings[0::2].copy()
     e = np.zeros(n)
     e[:n - 1] = hoppings[1::2]
@@ -460,8 +460,7 @@ def _end_block(ratios: np.ndarray, hopping: float, m: int) -> np.ndarray:
     return np.full(((m + 1) // 2, m // 2), u[0] @ vt[:, 0])
 
 
-def _bond_axis_block(ratios: np.ndarray, hopping: float, axis: int,
-                     region_len: int) -> np.ndarray:
+def _bond_axis_block(ratios: np.ndarray, axis: int, region_len: int) -> np.ndarray:
     """Q_A of a half-filled ring of even length L whose mirror axis c is
     odd, from the even mirror sector alone.
 
@@ -473,12 +472,15 @@ def _bond_axis_block(ratios: np.ndarray, hopping: float, axis: int,
     1/sqrt(2) onto the two sites of each orbit, and on the odd-even block
     of sign H, which is Q, their terms add to v_k v_k^T sign(E_k).
 
-    Only the region's rows of the v_k enter, and they lie in the sector's
-    first m rows, m the region's last orbit plus one.  While the rest of
-    the sector is at least as long as that block (2m <= L/2),
-    `_torn_sector` reads them from a tear after row m.  Past that, the
-    tear's merge and readout would take about as long as ``stevd`` of the
-    whole sector and more memory, so every eigenpair comes from ``stevd``.
+    Only the region's rows of the v_k enter.  The sector is oriented from
+    the region's side, reversed (row r to n - 1 - r) when those rows lie
+    nearer its last row than its first, so that they lie in its first m
+    rows, m the region's last row plus one.  `_torn_sector` reads them
+    from a tear after row m when the rest is at least as long (2m <= L/2)
+    and clean: its bonds, the torn one and the far on-axis bond plain.
+    Otherwise every eigenpair comes from ``stevd``: past the sector's
+    middle the tear's merge and readout cost as much, and a rest with a
+    defect would need a ``stevd`` of its own, which is no faster.
     """
     n_sites = ratios.size
     sites, mirror, on_axis_bond = _mirror_orbits(ratios, axis)
@@ -487,15 +489,14 @@ def _bond_axis_block(ratios: np.ndarray, hopping: float, axis: int,
     row[sites] = np.arange(n)
     row[mirror] = np.arange(n)
     rows = row[:region_len]
+    diagonal = -on_axis_bond
+    off_diagonal = -ratios[sites[:-1]]
+    if n - 1 - rows.min() < rows.max():
+        rows = n - 1 - rows
+        diagonal, off_diagonal = diagonal[::-1], off_diagonal[::-1]
     m = int(rows.max()) + 1
-    diagonal = -hopping * on_axis_bond
-    off_diagonal = -hopping * ratios[sites[:-1]]
-    if 2 * m <= n:
-        # the rest has closed form when its bonds, the torn one and the far
-        # on-axis bond included, all carry the plain hopping
-        clean = np.all(ratios[sites[m - 1:-1]] == 1.0) and on_axis_bond[-1] == 1.0
-        energies, q_a = _torn_sector(diagonal, off_diagonal, m, rows,
-                                     hopping if clean else None, n_sites)
+    if 2 * m <= n and np.all(off_diagonal[m - 1:] == -1.0) and diagonal[-1] == -1.0:
+        energies, q_a = _torn_sector(diagonal, off_diagonal, m, rows, n_sites)
     else:
         energies, orbitals = _tridiagonal(diagonal, off_diagonal, n_sites)
         q_a = (orbitals[rows[0::2]] * np.sign(energies)) @ orbitals[rows[1::2]].T
@@ -506,30 +507,32 @@ def _bond_axis_block(ratios: np.ndarray, hopping: float, axis: int,
 
 
 def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: np.ndarray,
-                 rest_hopping: float | None, n_sites: int):
+                 n_sites: int):
     """Eigenvalues E of a symmetric tridiagonal T of order n, and
     V[rows[0::2]] diag(sign E) V[rows[1::2]]^T over its eigenvectors V,
-    rows all below m, from one tear of T after row m.
+    rows all below m, from one tear of T after row m.  Past row m - 1, T
+    must be a clean sector's: -1 on the off-diagonal from T[m - 1, m] on
+    and at T[n - 1, n - 1], 0 on the diagonal between.
 
     In LAPACK's divide-and-conquer convention (``dstedc``), with beta =
     T[m - 1, m], T = diag(T_1, T_2) + |beta| v v^T where T_1 and T_2 are
     T[:m, :m] and T[m:, m:] less |beta| at the corners the tear touches,
     and v holds the last row of T_1's eigenvectors and sign(beta) times
     the first row of T_2's (Cuppen, Numer. Math. 36, 177, 1981).  T_1
-    takes ``stevd``, T_2 `_sector_rest`: closed form when it is clean,
-    its hopping J given as rest_hopping, and ``stevd`` otherwise.
-    ``dlaed8`` deflates the merged problem (tied poles rotated, small
-    components of v dropped, then sorted), and ``dlaed9`` solves the
-    secular equation for the K remaining roots and their eigenvectors S,
-    z recomputed from the roots so that S is orthogonal (Gu & Eisenstat,
-    SIAM J. Matrix Anal. Appl. 16, 172, 1995).  T's eigenvectors are
-    X diag(S, I) with X = diag(Q_1, Q_2) G P, G the rotations and P the
-    order ``dlaed8`` reports.  On rows below m only Q_1 enters X, and
-    only the p columns of X's first K where those rows are nonzero meet
-    S, so the result is X_odd M X_even^T with M = S_p diag(sign E) S_p^T
-    over those columns, plus the deflated columns' terms: O(p^2 K) time
-    and no n x n array but S and dlaed9's workspace, ~2 n^2 doubles as
-    for ``stevd`` of all of T.
+    takes ``stevd``, T_2 the closed form of `_sector_rest`.  ``dlaed8``
+    deflates the merged problem (tied poles rotated, small components of v
+    dropped, then sorted), and ``dlaed9`` solves the secular equation for
+    the K remaining roots and their eigenvectors S, z recomputed from the
+    roots so that S is orthogonal (Gu & Eisenstat, SIAM J. Matrix Anal.
+    Appl. 16, 172, 1995).  The plain torn bond keeps K >= 1: dlaed8 scales
+    v to unit norm and rho to 2, and rho |z|max >= 2 / sqrt(n) is far above
+    its deflation tolerance.  T's eigenvectors are X diag(S, I) with X =
+    diag(Q_1, Q_2) G P, G the rotations and P the order ``dlaed8`` reports.
+    On rows below m only Q_1 enters X, and only the p columns of X's first
+    K where those rows are nonzero meet S, so the result is
+    X_odd M X_even^T with M = S_p diag(sign E) S_p^T over those columns,
+    plus the deflated columns' terms: O(p^2 K) time and no n x n array but
+    S and dlaed9's workspace, ~2 n^2 doubles as for ``stevd`` of all of T.
 
     Every column of S must have unit norm within MERGE_NORM_ATOL.
     """
@@ -538,9 +541,7 @@ def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: n
     upper = diagonal[:m].copy()
     upper[-1] -= abs(beta)
     values_up, vectors_up = _tridiagonal(upper, off_diagonal[:m - 1], n_sites)
-    lower = diagonal[m:].copy()
-    lower[0] -= abs(beta)
-    values_low, first_low = _sector_rest(lower, off_diagonal[m:], rest_hopping, n_sites)
+    values_low, first_low = _sector_rest(n - m)
     d = np.concatenate([values_up, values_low])
     z = np.concatenate([vectors_up[-1], first_low])
     # only the region's rows of T_1's eigenvectors outlive the merge
@@ -557,11 +558,10 @@ def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: n
             np.empty(n, dtype=np.intc))
     k = int(k[0])
     secular = np.empty((k, k), order="F")
-    if k:
-        _lapack(_dlaed9, "laed9", n_sites, k, 1, k, n, d, np.empty(k * k), k, rho, dlamda,
-                w, secular, k)
-        # column norms without a K x K temporary
-        _check_unit_norm(np.sqrt(np.einsum("ij,ij->j", secular, secular)), n_sites, "laed9")
+    _lapack(_dlaed9, "laed9", n_sites, k, 1, k, n, d, np.empty(k * k), k, rho, dlamda,
+            w, secular, k)
+    # column norms without a K x K temporary
+    _check_unit_norm(np.sqrt(np.einsum("ij,ij->j", secular, secular)), n_sites, "laed9")
     # X on the region's rows, rotated as dlaed8 rotated its columns (GIVCOL
     # and GIVNUM are 2 x n, column-major)
     x = np.zeros((rows.size, n))
@@ -590,26 +590,20 @@ def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: n
     return d, q_a
 
 
-def _sector_rest(diagonal: np.ndarray, off_diagonal: np.ndarray, hopping: float | None,
-                 n_sites: int):
+def _sector_rest(n: int):
     """Eigenvalues, ascending, and the first components of the eigenvectors
-    of the rest T_2 of a torn mirror sector (`_torn_sector`).
+    of the rest T_2 of a torn mirror sector (`_torn_sector`), of order n.
 
-    A clean T_2 (hopping J given) of order n_2 has -J on every off-diagonal
-    entry and at both corners, 0 between: -J times the adjacency matrix of
-    a path with reflecting ends, whose eigenvectors are the DCT-II vectors
-    cos(pi k (x + 1/2) / n_2), x = 0..n_2-1, with E_k = -2J cos(pi k / n_2).
-    Other rests take ``stevd``.
+    T_2 has -1 on every off-diagonal entry and at both corners, 0 between:
+    minus the adjacency matrix of a path with reflecting ends, whose
+    eigenvectors are the DCT-II vectors cos(pi k (x + 1/2) / n),
+    x = 0..n-1, with E_k = -2 cos(pi k / n).
     """
-    n = diagonal.size
-    if hopping is not None:
-        k = np.arange(n)
-        # cosines as sines: full relative accuracy near the band centre
-        values = -2.0 * hopping * np.sin(0.5 * np.pi * (n - 2 * k) / n)
-        first = np.sqrt(np.where(k == 0, 1.0, 2.0) / n) * np.sin(0.5 * np.pi * (n - k) / n)
-        return values, first
-    values, vectors = _tridiagonal(diagonal, off_diagonal, n_sites)
-    return values, vectors[0].copy()
+    k = np.arange(n)
+    # cosines as sines: full relative accuracy near the band centre
+    values = -2.0 * np.sin(0.5 * np.pi * (n - 2 * k) / n)
+    first = np.sqrt(np.where(k == 0, 1.0, 2.0) / n) * np.sin(0.5 * np.pi * (n - k) / n)
+    return values, first
 
 
 def _solver_error(routine: str, n_sites: int, detail) -> np.linalg.LinAlgError:
@@ -660,31 +654,27 @@ def _tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray, n_sites: int):
     return energies, orbitals
 
 
-def _mirror_orbits(bonds: np.ndarray, axis: int):
-    """Orbits of the reflection j -> (axis - j) mod L of a ring.
+def _mirror_orbits(ratios: np.ndarray, axis: int):
+    """Orbits of the reflection j -> (axis - j) mod L of a ring of even
+    length L whose axis is odd, running through two bonds.
 
     Sites lying at half-positions axis..axis+L (site j at 2j, bond b's
     midpoint at 2b+1) hold one site of each orbit {j, axis - j}, ordered
-    by distance from the axis; the ends of that half-arc are either
-    on-axis sites, their own mirror images, or the midpoints of on-axis
-    bonds.  An on-axis bond joins a site to its image and enters the even
-    and odd sector as the diagonal entry -t and +t.
+    by distance from the axis; both ends of that half-arc are the
+    midpoints of on-axis bonds.  An on-axis bond joins a site to its image
+    and enters the even and odd sector as the diagonal entry -t and +t.
 
     Returns (sites, mirror, on_axis_bond): the half-arc's sites, the
-    image of each, and the entry of the per-bond array `bonds` (ratios or
-    hoppings) for an on-axis bond at either end of the half-arc (0
-    elsewhere).  Bond sites[i] joins sites[i] and
-    sites[i + 1].
+    image of each, and the ratio of the on-axis bond at either end of the
+    half-arc (0 elsewhere).  Bond sites[i] joins sites[i] and sites[i + 1].
     """
-    n = bonds.size
+    n = ratios.size
     sites = np.arange((axis + 1) // 2, (axis + n) // 2 + 1)
     mirror = (axis - sites) % n
     sites %= n
     on_axis_bond = np.zeros(sites.size)
-    if axis % 2:
-        on_axis_bond[0] = bonds[mirror[0]]
-    if (axis + n) % 2:
-        on_axis_bond[-1] = bonds[sites[-1]]
+    on_axis_bond[0] = ratios[mirror[0]]
+    on_axis_bond[-1] = ratios[sites[-1]]
     return sites, mirror, on_axis_bond
 
 

@@ -19,8 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chains import (PATTERN_KINDS, ChainSpec, alternating_block, dot_impurity,
-                     parity_pair, place_pattern, single_impurity)
+from .chains import (ChainSpec, Pattern, alternating_block, dot_impurity, parity_pair,
+                     place_pattern, single_impurity)
 from .fitting import ScalingSample
 from .observables import charge_fluctuation, entanglement_entropy, sublattice_occupations
 from .spectral import half_filled_block
@@ -34,7 +34,10 @@ def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
     return entanglement_entropy(nu), charge_fluctuation(nu)
 
 
-def border_pattern(kind: str, ratio: float, region_len: int, n_imp: int = 1):
+PATTERN_KINDS = ("single", "dot", "alternating")
+
+
+def border_pattern(kind: str, ratio: float, region_len: int, n_imp: int = 1) -> Pattern:
     """Defect pattern anchored at the border bond of a region.
 
     Single defects and dots sit on the border bond itself (the dot site

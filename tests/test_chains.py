@@ -19,13 +19,9 @@ def test_spec_validation():
         ChainSpec(8, "open", ((9, 0.5),))  # open chain has 7 bonds
     with pytest.raises(ValueError):
         ChainSpec(8, "open", ((2, 0.5), (2, 0.7)))
-    with pytest.raises(ValueError):
-        ChainSpec(8, "open", (), hopping=0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             ChainSpec(8, "open", ((2, bad),))
-        with pytest.raises(ValueError, match="finite"):
-            ChainSpec(8, "open", (), hopping=bad)
 
 
 def test_bond_counts():
@@ -41,7 +37,7 @@ def test_bond_ratios_layout():
 
 
 def test_hamiltonian_open_explicit():
-    spec = ChainSpec(4, "open", ((2, 0.5),), hopping=1.0)
+    spec = ChainSpec(4, "open", ((2, 0.5),))
     h = build_hamiltonian(spec)
     expected = np.array([
         [0.0, -1.0, 0.0, 0.0],
@@ -53,11 +49,11 @@ def test_hamiltonian_open_explicit():
 
 
 def test_hamiltonian_periodic_wrap():
-    spec = ChainSpec(4, "periodic", ((4, 0.3),), hopping=2.0)
+    spec = ChainSpec(4, "periodic", ((4, 0.3),))
     h = build_hamiltonian(spec)
-    assert h[3, 0] == pytest.approx(-2.0 * 0.3)
-    assert h[0, 3] == pytest.approx(-2.0 * 0.3)
-    assert h[0, 1] == pytest.approx(-2.0)
+    assert h[3, 0] == pytest.approx(-0.3)
+    assert h[0, 3] == pytest.approx(-0.3)
+    assert h[0, 1] == pytest.approx(-1.0)
 
 
 def test_hamiltonian_properties_random():
@@ -74,14 +70,13 @@ def test_hamiltonian_properties_random():
         assert np.array_equal(h, h.T)
         assert np.all(np.diag(h) == 0.0)
         # total hopping weight equals the sum of bond strengths
-        assert np.sum(np.abs(np.triu(h))) == pytest.approx(
-            spec.hopping * spec.bond_ratios().sum())
+        assert np.sum(np.abs(np.triu(h))) == pytest.approx(spec.bond_ratios().sum())
 
 
 def test_patterns():
-    assert single_impurity(0.5, 7).bond_indices() == (7,)
-    assert dot_impurity(0.5, 7).bond_indices() == (7, 8)
-    assert alternating_block(0.5, 7, 3).bond_indices() == (7, 9, 11)
+    assert single_impurity(0.5, 7) == ((7, 0.5),)
+    assert dot_impurity(0.5, 7) == ((7, 0.5), (8, 0.5))
+    assert alternating_block(0.5, 7, 3) == ((7, 0.5), (9, 0.5), (11, 0.5))
     with pytest.raises(ValueError):
         alternating_block(0.5, 7, 0)
 

@@ -147,7 +147,7 @@ def _bidiagonal_svd(spec):
     """B = U diag(sigma) V^T by LAPACK's whole bidiagonal divide and conquer
     ``dbdsdc``, B lower bidiagonal with rows on the odd sites of an open
     chain: sigma descending, U and V^T as n x n arrays."""
-    hoppings = -spec.hopping * spec.bond_ratios()
+    hoppings = -spec.bond_ratios()
     sigma = hoppings[0::2].copy()
     n = sigma.size
     e = np.zeros(n)
@@ -281,10 +281,37 @@ def test_open_chain_every_region_matches_dense(spec):
 # a strong bond binds a state at the tear for l <= 3, which later tears
 # leave with a vanishing merge component
 @example(place_pattern(single_impurity(4.0, 2), 202, "periodic"))
-# the wrap bond's axis puts site 1 on the sector's last row: no tear (m = n)
+# the wrap bond's axis puts site 1 on the sector's last row: the sector is
+# reversed before it is torn
 @example(place_pattern(single_impurity(0.5, 202), 202, "periodic"))
+# the defect sits on the far on-axis bond, in the rest: no tear
+@example(place_pattern(single_impurity(0.7, 102), 202, "periodic"))
 def test_ring_every_region_matches_dense(spec):
     _check_every_region(spec)
+
+
+def test_wrap_bond_ring_is_torn_from_the_region_side(monkeypatch):
+    # site 1 lies on the mirror sector's last row, so only the reversed
+    # sector leaves a short region's rows before a tear
+    spec = place_pattern(single_impurity(0.7, 202), 202, "periodic")
+    _, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+    filled = orbitals[:, :half_filling(spec)]
+    g_dense = filled @ filled.T
+    real = spectral._dlaed8
+    merges = []
+
+    def counted(*pointers):
+        merges.append(pointers)
+        real(*pointers)
+
+    monkeypatch.setattr(spectral, "_dlaed8", counted)
+    for length in range(1, spec.n_sites // 4 + 1):
+        merges.clear()
+        s, f = measure(spec, length)
+        assert len(merges) == 1
+        ref = region_observables(g_dense, Region(1, length))
+        assert s == pytest.approx(ref.entropy, abs=1e-9)
+        assert f == pytest.approx(ref.fluctuation, abs=1e-9)
 
 
 def test_torn_route_rejects_degenerate_fermi_level():
@@ -351,16 +378,15 @@ def test_torn_route_checks_merged_vector_norms(monkeypatch):
         half_filled_block(homogeneous(14), 7)
 
 
-@pytest.mark.parametrize("beta", [0.7, 1e-300], ids=["merged", "nothing-to-merge"])
-def test_torn_sector_matches_whole_sector(beta):
-    # a random sector, so its rest takes stevd; a vanishing torn bond leaves
-    # dlaed8 no secular equation (K = 0)
+def test_torn_sector_matches_whole_sector():
+    # a random block before the tear, the clean rest of a mirror sector after it
     rng = np.random.default_rng(7)
     n, m = 40, 12
-    diagonal, off_diagonal = rng.normal(size=n), rng.normal(size=n - 1)
-    off_diagonal[m - 1] = beta
+    diagonal, off_diagonal = np.zeros(n), -np.ones(n - 1)
+    diagonal[:m], off_diagonal[:m - 1] = rng.normal(size=m), rng.normal(size=m - 1)
+    diagonal[-1] = -1.0
     rows = np.array([11, 10, 3, 0, 5, 7, 11])
-    energies, q_a = spectral._torn_sector(diagonal, off_diagonal, m, rows, None, 2 * n)
+    energies, q_a = spectral._torn_sector(diagonal, off_diagonal, m, rows, 2 * n)
     e_ref, v_ref = np.linalg.eigh(np.diag(diagonal) + np.diag(off_diagonal, 1)
                                   + np.diag(off_diagonal, -1))
     assert np.abs(np.sort(energies) - e_ref).max() <= 1e-12

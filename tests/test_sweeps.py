@@ -15,9 +15,9 @@ from paritylab.sweeps import (border_pattern, boundary_sweep, bulk_sweep,
 
 
 def test_border_pattern_layouts():
-    assert border_pattern("single", 0.5, 12).bond_indices() == (12,)
-    assert border_pattern("dot", 0.5, 12).bond_indices() == (12, 13)
-    assert border_pattern("alternating", 0.5, 12, n_imp=3).bond_indices() == (10, 12, 14)
+    assert border_pattern("single", 0.5, 12) == ((12, 0.5),)
+    assert border_pattern("dot", 0.5, 12) == ((12, 0.5), (13, 0.5))
+    assert border_pattern("alternating", 0.5, 12, n_imp=3) == ((10, 0.5), (12, 0.5), (14, 0.5))
     with pytest.raises(ValueError):
         border_pattern("alternating", 0.5, 12, n_imp=2)
     with pytest.raises(ValueError):
