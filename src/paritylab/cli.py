@@ -25,9 +25,8 @@ from .chains import BOUNDARIES, alternating_block, place_pattern
 from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
-from .sweeps import (aspect_region, boundary_sweep, bulk_sweep, dot_pair, dot_series,
-                     ladder_region, pair_specs, resolve_parallelism, size_ladder,
-                     splitting_table)
+from .sweeps import (aspect_region, boundary_sweep, dot_pair, dot_series, ladder_region,
+                     pair_specs, resolve_parallelism, size_ladder, splitting_table)
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
                      tabulated_entropy_integral, tabulated_fluct_integral)
@@ -269,18 +268,11 @@ def _check_pairs(sizes, build, route: str) -> None:
 
 def _plan_impurity_sweep(c):
     sizes, aspect_den, boundary = c["sizes"], c["aspect_den"], c["boundary"]
-    if boundary == "periodic" and any(n % 4 != 2 for n in sizes):
-        raise ConfigError("periodic sizes must be 2 mod 4")
-    _check_pairs(sizes, lambda n: pair_specs("single", 1.0, n, ladder_region(n, aspect_den),
-                                             boundary), boundary)
+    _check_pairs(sizes, lambda n: pair_specs(1.0, n, ladder_region(n, aspect_den), boundary),
+                 boundary)
     span = f"sizes={sizes[0]}..{sizes[-1]}"
-    if boundary == "open":
-        jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
-                      ("single", r, sizes, aspect_den, 1, c["parallelism"]))
-                     for r in c["ratios"])
-    else:
-        jobs = tuple((f"ratio={r:g} {span}", bulk_sweep,
-                      (r, sizes, aspect_den, c["parallelism"])) for r in c["ratios"])
+    jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
+                  (r, sizes, aspect_den, boundary, c["parallelism"])) for r in c["ratios"])
     return (["scenario", "ratio", "n_sites", "region_len", "parity",
              *_pick(c["kind"], ("entropy", "fluctuation"))], jobs,
             lambda sweeps: [("impurity-sweep", s.ratio, s.n_sites, s.region_len, s.parity)
@@ -288,26 +280,25 @@ def _plan_impurity_sweep(c):
                             for samples in sweeps for s in samples])
 
 
-def _splitting_jobs(c, blocks, aspect_num: int) -> tuple:
-    """splitting_table jobs, one per (pattern kind, n_imp) block, for fits over sizes."""
+def _splitting_jobs(c, n_imps, aspect_num: int) -> tuple:
+    """splitting_table jobs, one per block of n_imp bonds, for fits over sizes."""
     ratios, sizes, aspect_den = c["ratios"], c["sizes"], c["aspect_den"]
     if len(sizes) < 2:
         raise ConfigError("need at least two distinct sizes to extrapolate")
-    for kind, n_imp in blocks:
+    for n_imp in n_imps:
         _check_pairs(sizes, lambda n: pair_specs(
-            kind, 1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp), "open")
+            1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp), "open")
     return tuple((f"n_imp={n_imp} ratios={list(ratios)} sizes={list(sizes)}", splitting_table,
-                  (kind, ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
-                 for kind, n_imp in blocks)
+                  (ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
+                 for n_imp in n_imps)
 
 
 def _plan_ssh_collapse(c):
-    ratios, sizes = c["ratios"], c["sizes"]
-    blocks = [("single" if n_imp == 1 else "alternating", n_imp) for n_imp in c["n_imps"]]
+    ratios, sizes, n_imps = c["ratios"], c["sizes"], c["n_imps"]
 
     def rows(tables):
         out = []
-        for (_, n_imp), table in zip(blocks, tables):
+        for n_imp, table in zip(n_imps, tables):
             for ratio in ratios:
                 d_s = extrapolate_inverse(sizes, [table[(ratio, n)][0] for n in sizes])
                 d_f = extrapolate_inverse(sizes, [table[(ratio, n)][1] for n in sizes])
@@ -316,7 +307,7 @@ def _plan_ssh_collapse(c):
         return out
     return (["scenario", "n_imp", "ratio", "strength",
              *_pick(c["kind"], ("delta_entropy", "delta_fluct"))],
-            _splitting_jobs(c, blocks, 1), rows)
+            _splitting_jobs(c, n_imps, 1), rows)
 
 
 def _dot_ladder(ratio: float, x_lo: float, x_hi: float, factor: float) -> list[int]:
@@ -374,7 +365,7 @@ def _plan_slope_at_unity(c):
             out.append(("slope-at-unity", kind, 0.0, (s2 * w1 - s1 * w2) / (w1 - w2)))
         return out
     return (["scenario", "kind", "window", "slope"],
-            _splitting_jobs(c, [("single", 1)], c["aspect_num"]), rows)
+            _splitting_jobs(c, [1], c["aspect_num"]), rows)
 
 
 def _plan_zero_modes(c):
@@ -516,6 +507,8 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 def cmd_compare(args) -> int:
     try:
+        if not args.tol >= 0:  # NaN too
+            raise ConfigError(f"--tol must be a non-negative number, got {args.tol}")
         header_a, rows_a = _read_csv(args.a)
         header_b, rows_b = _read_csv(args.b)
         if header_a != header_b:
@@ -557,10 +550,11 @@ def cmd_compare(args) -> int:
     for key in shared:
         for col, i in zip(value_cols, val_idx):
             va, vb = table_a[key][i], table_b[key][i]
+            # equal text matches even where the difference is NaN (nan, inf)
             try:
-                ok = abs(float(va) - float(vb)) <= args.tol
+                ok = va == vb or abs(float(va) - float(vb)) <= args.tol
             except ValueError:
-                ok = va == vb
+                ok = False
             if not ok:
                 bad += 1
                 if bad <= 20:
@@ -591,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--values", default=None,
                        help="comma-separated value columns (default: all non-key)")
     p_cmp.add_argument("--tol", type=float, default=1e-12,
-                       help="absolute tolerance on numeric columns")
+                       help="absolute tolerance (>= 0) on numeric columns")
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_check = sub.add_parser("theory-check",

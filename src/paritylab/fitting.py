@@ -221,18 +221,13 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def extrapolate_inverse(n_sites: Sequence[int], values: Sequence[float],
-                        with_log: bool = False) -> float:
-    """Infinite-size limit of a sequence, fitting a + b/L (+ c ln L / L)."""
+def extrapolate_inverse(n_sites: Sequence[int], values: Sequence[float]) -> float:
+    """Infinite-size limit a of a sequence, fitting a + b/L."""
     n = np.asarray(n_sites, dtype=float)
-    v = np.asarray(values, dtype=float)
-    cols = [np.ones_like(n), 1.0 / n]
-    if with_log:
-        cols.append(np.log(n) / n)
-    design = np.column_stack(cols)
-    if n.size < design.shape[1]:
-        raise ValueError(f"need at least {design.shape[1]} sizes, got {n.size}")
-    coef, _ = _solve(design, v)
+    if n.size < 2:
+        raise ValueError(f"need at least 2 sizes, got {n.size}")
+    design = np.column_stack([np.ones_like(n), 1.0 / n])
+    coef, _ = _solve(design, np.asarray(values, dtype=float))
     return float(coef[0])
 
 

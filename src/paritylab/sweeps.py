@@ -2,12 +2,15 @@
 
 Every routine here builds chains at half filling, measures subsystem
 entropy and number fluctuation through `measure`, the one route for open
-chains and rings, and labels the results by subsystem parity.  The even
-member of a pair has an even subsystem with the defect pattern at its
-border; the odd member shifts pattern and border together by one site.
-Grids are expressed as ladders of total sizes, rounded to whatever
-congruence the geometry needs (even subsystems for the even member, rings
-of size 2 mod 4 to keep the Fermi level non-degenerate).
+chains and rings, and labels the results by subsystem parity.  A border
+defect is a block of n_imp equal bonds on every other bond, centred on the
+region's border bond; one bond is a single defect.  The even member of a
+pair has an even subsystem with the block at its border; the odd member
+shifts block and border together by one site.  A dot, two successive weak
+bonds, has its own pair (`dot_pair`).  Grids are expressed as ladders of
+total sizes, rounded to whatever congruence the geometry needs (even
+subsystems for the even member, rings of size 2 mod 4 to keep the Fermi
+level non-degenerate).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chains import (ChainSpec, Pattern, alternating_block, dot_impurity, parity_pair,
-                     place_pattern, single_impurity)
+from .chains import ChainSpec, alternating_block, dot_impurity, parity_pair, place_pattern
 from .fitting import ScalingSample
 from .observables import charge_fluctuation, entanglement_entropy, sublattice_occupations
 from .spectral import half_filled_block
@@ -34,43 +36,28 @@ def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
     return entanglement_entropy(nu), charge_fluctuation(nu)
 
 
-PATTERN_KINDS = ("single", "dot", "alternating")
+def pair_specs(ratio: float, n_sites: int, region_len: int, boundary: str = "open",
+               n_imp: int = 1) -> tuple[ChainSpec, ChainSpec]:
+    """Even/odd chains of a border defect, built without solving anything.
 
-
-def border_pattern(kind: str, ratio: float, region_len: int, n_imp: int = 1) -> Pattern:
-    """Defect pattern anchored at the border bond of a region.
-
-    Single defects and dots sit on the border bond itself (the dot site
-    just outside the region); alternating blocks are centered on it, so
-    their bond count must be odd.
-    """
-    if kind == "single":
-        return single_impurity(ratio, region_len)
-    if kind == "dot":
-        return dot_impurity(ratio, region_len)
-    if kind == "alternating":
-        if n_imp % 2 == 0:
-            raise ValueError(f"centered alternating block needs odd n_imp, got {n_imp}")
-        anchor = region_len - (n_imp - 1)
-        if anchor < 1:
-            raise ValueError(f"block of {n_imp} bonds does not fit left of {region_len}")
-        return alternating_block(ratio, anchor, n_imp)
-    raise ValueError(f"kind must be one of {PATTERN_KINDS}, got {kind!r}")
-
-
-def pair_specs(kind: str, ratio: float, n_sites: int, region_len: int,
-               boundary: str = "open", n_imp: int = 1) -> tuple[ChainSpec, ChainSpec]:
-    """Even/odd chains of one geometry, built without solving anything.
-
-    The even chain carries the pattern at the border of region_len sites,
-    the odd one the same pattern moved one bond to the right.  Raises
-    ``ValueError`` if region_len is odd, or if either region or either
-    pattern does not fit on the chain.
+    The defect is a block of n_imp equal bonds on every other bond,
+    centred on the border bond of region_len sites; one bond is a single
+    defect.  The odd chain moves the block one bond to the right.  Raises
+    ``ValueError`` if region_len is odd, n_imp is even, the block or
+    either region does not fit on the chain, or a ring is not 2 mod 4
+    sites long (its Fermi level would be degenerate).
     """
     if not 0 < region_len < n_sites:
         raise ValueError(f"regions of {region_len} and {region_len + 1} sites "
                          f"do not fit on {n_sites} sites")
-    pattern = border_pattern(kind, ratio, region_len, n_imp)
+    if boundary == "periodic" and n_sites % 4 != 2:
+        raise ValueError(f"ring size must be 2 mod 4, got {n_sites}")
+    if n_imp % 2 == 0:
+        raise ValueError(f"centred block needs odd n_imp, got {n_imp}")
+    anchor = region_len - (n_imp - 1)
+    if anchor < 1:
+        raise ValueError(f"block of {n_imp} bonds does not fit left of {region_len}")
+    pattern = alternating_block(ratio, anchor, n_imp)
     return parity_pair(place_pattern(pattern, n_sites, boundary), region_len)
 
 
@@ -89,15 +76,15 @@ def aspect_region(n_sites: int, aspect_num: int, aspect_den: int) -> int:
     return ell2 // aspect_den
 
 
-def pair_samples(kind: str, ratio: float, n_sites: int, region_len: int,
-                 boundary: str = "open", n_imp: int = 1) -> tuple[ScalingSample, ScalingSample]:
-    """Measure the even/odd pair for one geometry.
+def pair_samples(ratio: float, n_sites: int, region_len: int, boundary: str = "open",
+                 n_imp: int = 1) -> tuple[ScalingSample, ScalingSample]:
+    """Measure the even/odd pair of `pair_specs`.
 
     region_len must be even; the odd partner measures region_len + 1
-    sites with the whole pattern moved one bond to the right, on a chain
+    sites with the whole block moved one bond to the right, on a chain
     of the same size.
     """
-    even_spec, odd_spec = pair_specs(kind, ratio, n_sites, region_len, boundary, n_imp)
+    even_spec, odd_spec = pair_specs(ratio, n_sites, region_len, boundary, n_imp)
     out = []
     for parity, spec, ell in (("even", even_spec, region_len),
                               ("odd", odd_spec, region_len + 1)):
@@ -130,47 +117,33 @@ def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
     return out
 
 
-def boundary_sweep(kind: str, ratio: float, sizes: Sequence[int], aspect_den: int = 10,
-                   n_imp: int = 1, parallelism: int = 1) -> list[ScalingSample]:
-    """Open-chain pair measurements over a ladder of total sizes.
+def boundary_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
+                   boundary: str = "open", parallelism: int = 1) -> list[ScalingSample]:
+    """Pair measurements with a single defect on the region's border bond,
+    over a ladder of total sizes.
 
     The even subsystem takes the nearest even integer to n_sites/aspect_den.
-    Results come back sorted by (n_sites, parity).
+    Ring sizes must be 2 mod 4.  Results come back sorted by (n_sites, parity).
     """
-    tasks = [(kind, ratio, n_sites, ladder_region(n_sites, aspect_den), "open", n_imp)
+    tasks = [(ratio, n_sites, ladder_region(n_sites, aspect_den), boundary)
              for n_sites in sizes]
     pairs = _run(pair_samples, tasks, parallelism)
     return [s for pair in pairs for s in pair]
 
 
-def bulk_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
-               parallelism: int = 1) -> list[ScalingSample]:
-    """Ring pair measurements with a single defect bounding the region.
-
-    Sizes must be 2 mod 4 so the half-filled ring keeps a gap at the
-    Fermi level."""
-    tasks = []
-    for n_sites in sizes:
-        if n_sites % 4 != 2:
-            raise ValueError(f"ring size must be 2 mod 4, got {n_sites}")
-        tasks.append(("single", ratio, n_sites, ladder_region(n_sites, aspect_den),
-                      "periodic", 1))
-    pairs = _run(pair_samples, tasks, parallelism)
-    return [s for pair in pairs for s in pair]
-
-
-def splitting_table(kind: str, ratios: Sequence[float], sizes: Sequence[int],
-                    aspect_num: int = 1, aspect_den: int = 2, n_imp: int = 1,
-                    parallelism: int = 1) -> dict[tuple[float, int], tuple[float, float]]:
-    """Parity splittings on a (ratio, size) grid at fixed subsystem aspect.
+def splitting_table(ratios: Sequence[float], sizes: Sequence[int], aspect_num: int = 1,
+                    aspect_den: int = 2, n_imp: int = 1, parallelism: int = 1
+                    ) -> dict[tuple[float, int], tuple[float, float]]:
+    """Open-chain parity splittings of an n_imp-bond block on a (ratio,
+    size) grid at fixed subsystem aspect.
 
     Every size must make aspect_num * n_sites / aspect_den an even
     integer.  Keys are (ratio, n_sites); values (delta S, delta F), even
     minus odd.
     """
     keys = [(ratio, n_sites) for ratio in ratios for n_sites in sizes]
-    tasks = [(kind, ratio, n_sites, aspect_region(n_sites, aspect_num, aspect_den),
-              "open", n_imp) for ratio, n_sites in keys]
+    tasks = [(ratio, n_sites, aspect_region(n_sites, aspect_num, aspect_den), "open", n_imp)
+             for ratio, n_sites in keys]
     pairs = _run(pair_samples, tasks, parallelism)
     return {key: (even.entropy - odd.entropy, even.fluctuation - odd.fluctuation)
             for key, (even, odd) in zip(keys, pairs)}
@@ -184,9 +157,8 @@ def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
     if n_sites % 4 != 0:
         raise ValueError(f"dot series needs sizes 0 mod 4, got {n_sites}")
     ell = n_sites // 2
-    even, _ = pair_specs("dot", ratio, n_sites, ell)
-    _, odd = pair_specs("dot", ratio, n_sites + 2, ell)
-    return even, odd
+    return (place_pattern(dot_impurity(ratio, ell), n_sites),
+            place_pattern(dot_impurity(ratio, ell + 1), n_sites + 2))
 
 
 def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1

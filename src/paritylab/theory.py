@@ -42,6 +42,19 @@ def _quad(f, lo: float, hi: float, opts: dict) -> float:
     return integrate.quad(f, lo, hi, **opts)[0]
 
 
+def _half_line(f, f_tail, sin2: float, opts: dict) -> float:
+    """int_0^infty f(x) / sqrt(1 + sin2 x^2) dx as [0, 1] in x plus [0, 1]
+    in t = 1/x, where f_tail(t) = f(1/t) / t^2 and the weight becomes
+    t / sqrt(t^2 + sin2)."""
+
+    def tail(t):
+        w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
+        return f_tail(t) * w
+
+    lo = _quad(lambda x: f(x) / math.sqrt(1.0 + sin2 * x * x), 0.0, 1.0, opts)
+    return lo + _quad(tail, 0.0, 1.0, opts)
+
+
 def dilog(z: float) -> float:
     """Real dilogarithm Li_2(z) = -int_0^z ln(1-x)/x dx for z in [-1, 1].
 
@@ -139,17 +152,8 @@ def _entropy_kernel_tail(t: float, q: float, p: float) -> float:
 
 def _entropy_integral(p: float, sin2: float) -> float:
     q = 1.0 / p
-
-    def body(x):
-        return _entropy_kernel(x, q, p) / math.sqrt(1.0 + sin2 * x * x)
-
-    def tail(t):
-        w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
-        return _entropy_kernel_tail(t, q, p) * w
-
-    lo = _quad(body, 0.0, 1.0, _DIFF_QUAD_OPTS)
-    hi = _quad(tail, 0.0, 1.0, _DIFF_QUAD_OPTS)
-    return lo + hi
+    return _half_line(lambda x: _entropy_kernel(x, q, p),
+                      lambda t: _entropy_kernel_tail(t, q, p), sin2, _DIFF_QUAD_OPTS)
 
 
 def entropy_slope_integral(aspect: float) -> float:
@@ -189,18 +193,13 @@ def fluct_parity_slope(aspect: float) -> float:
     """
     if not 0.0 <= aspect <= 0.5:
         raise ValueError(f"aspect must be in [0, 1/2], got {aspect}")
-    sin2 = math.sin(math.pi * aspect) ** 2
+    return _fluct_integral(math.sin(math.pi * aspect) ** 2) / math.pi**3
 
-    def body(x):
-        return math.log1p(1.0 / (x * x)) ** 2 / math.sqrt(1.0 + sin2 * x * x)
 
-    def tail(t):
-        w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
-        return math.log1p(t * t) ** 2 / (t * t) * w
-
-    lo = _quad(body, 0.0, 1.0, _QUAD_OPTS)
-    hi = _quad(tail, 0.0, 1.0, _QUAD_OPTS)
-    return (lo + hi) / math.pi**3
+def _fluct_integral(sin2: float) -> float:
+    # int_0^infty [ln(1 + 1/x^2)]^2 / sqrt(1 + sin2 x^2) dx
+    return _half_line(lambda x: math.log1p(1.0 / (x * x)) ** 2,
+                      lambda t: math.log1p(t * t) ** 2 / (t * t), sin2, _QUAD_OPTS)
 
 
 def tabulated_entropy_integral() -> float:
@@ -233,17 +232,9 @@ def tabulated_entropy_integral() -> float:
 
 
 def tabulated_fluct_integral() -> float:
-    """Quadrature of int_0^infty [ln(1 + 1/x^2)]^2 dx, which equals 4 pi ln 2."""
-
-    def body(x):
-        return math.log1p(1.0 / (x * x)) ** 2
-
-    def tail(t):
-        return math.log1p(t * t) ** 2 / (t * t)
-
-    lo = _quad(body, 0.0, 1.0, _QUAD_OPTS)
-    hi = _quad(tail, 0.0, 1.0, _QUAD_OPTS)
-    return lo + hi
+    """Quadrature of int_0^infty [ln(1 + 1/x^2)]^2 dx, which equals 4 pi ln 2:
+    the fluctuation integral at aspect 0."""
+    return _fluct_integral(0.0)
 
 
 def perturbative_fluct_slope(n_sites: int, cut: int) -> float:

@@ -21,8 +21,8 @@ from paritylab.fock import fock_region_observables
 from paritylab.observables import Region, region_observables
 from paritylab.scattering import near_zero_modes
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
-from paritylab.sweeps import (boundary_sweep, bulk_sweep, dot_series,
-                              size_ladder, splitting_table)
+from paritylab.sweeps import (boundary_sweep, dot_series, size_ladder,
+                              splitting_table)
 from paritylab.theory import (FLUCT_SERIES_CONSTANT, dilog,
                               effective_central_charge,
                               effective_central_charge_alt,
@@ -43,7 +43,7 @@ INVERSES = {0.25: 4.0, 0.5: 2.0, 0.8: 1.25}
 
 @pytest.fixture(scope="module")
 def obc_samples():
-    return {lam: boundary_sweep("single", lam, OBC_SIZES, aspect_den=10)
+    return {lam: boundary_sweep(lam, OBC_SIZES, aspect_den=10)
             for lam in LAMBDAS}
 
 
@@ -57,7 +57,7 @@ def obc_fits(obc_samples):
 def pbc_fits():
     out = {}
     for lam in LAMBDAS:
-        samples = bulk_sweep(lam, PBC_SIZES, aspect_den=10)
+        samples = boundary_sweep(lam, PBC_SIZES, aspect_den=10, boundary="periodic")
         out[lam] = (fit_bulk_entropy(samples), fit_bulk_fluct(samples))
     return out
 
@@ -66,7 +66,7 @@ def pbc_fits():
 def slope_tables():
     ratios = (0.90, 0.925, 0.95, 0.975, 1.0)
     sizes = (240, 480, 960)
-    return {den: splitting_table("single", ratios, sizes, 1, den)
+    return {den: splitting_table(ratios, sizes, 1, den)
             for den in (2, 3)}
 
 
@@ -101,7 +101,7 @@ def test_c02_parity_plateau_and_clean_decay(obc_samples):
 
     def abs_deltas(lam):
         pairs = {}
-        for s in obc_samples[lam] + boundary_sweep("single", lam, added, aspect_den=10):
+        for s in obc_samples[lam] + boundary_sweep(lam, added, aspect_den=10):
             pairs.setdefault(s.n_sites, {})[s.parity] = s.entropy
         return {n: abs(v["even"] - v["odd"]) for n, v in sorted(pairs.items())}
 
@@ -203,11 +203,11 @@ def test_c07_block_collapse_and_plateaus():
     plateau_s = plateau_f = 0.0
     for n_imp in (3, 5):
         block = extrapolated(
-            splitting_table("alternating", ratios, sizes, 1, 2, n_imp=n_imp),
+            splitting_table(ratios, sizes, 1, 2, n_imp=n_imp),
             ratios)
         strengths = [r**n_imp for r in ratios]
         single = extrapolated(
-            splitting_table("single", strengths, sizes, 1, 2), strengths)
+            splitting_table(strengths, sizes, 1, 2), strengths)
         for r in ratios:
             ds, df = block[r]
             ds1, df1 = single[r**n_imp]

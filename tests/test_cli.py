@@ -323,6 +323,18 @@ def test_compare_equal_and_perturbed(tmp_path, capsys):
     assert cli.main(["compare", "a.csv", "b.csv", "--keys", keys,
                      "--tol", "1e-3"]) == 0
 
+    # a file equals itself where a value is nan or inf, whose difference is NaN
+    (tmp_path / "n.csv").write_text("a,b,c\n1,nan,inf\n2,-inf,0.5\n")
+    assert cli.main(["compare", "n.csv", "n.csv", "--keys", "a", "--tol", "0"]) == 0
+    assert "0 mismatches" in capsys.readouterr().out
+    # differing text still compares as numbers, and nan matches no number
+    (tmp_path / "m.csv").write_text("a,b,c\n1,nan,inf\n2,1.0,0.50\n")
+    assert cli.main(["compare", "n.csv", "m.csv", "--keys", "a", "--tol", "0"]) == 1
+    assert "-inf vs 1.0" in capsys.readouterr().err
+    (tmp_path / "k.csv").write_text("a,b,c\n1,1.0,inf\n2,-inf,0.50\n")
+    assert cli.main(["compare", "n.csv", "k.csv", "--keys", "a", "--tol", "1e300"]) == 1
+    assert "nan vs 1.0" in capsys.readouterr().err
+
 
 def test_compare_schema_and_key_errors(tmp_path, capsys):
     (tmp_path / "x.csv").write_text("a,b\n1,2\n")
@@ -337,6 +349,12 @@ def test_compare_schema_and_key_errors(tmp_path, capsys):
     assert cli.main(["compare", "x.csv", "x.csv", "--keys", "q"]) == 2
     assert cli.main(["compare", "x.csv", "x.csv", "--keys", "a",
                      "--values", "nope"]) == 2
+
+    # a negative or NaN tolerance would fail every row, even of one file
+    for tol in ("-1", "nan"):
+        capsys.readouterr()
+        assert cli.main(["compare", "x.csv", "x.csv", "--keys", "a", "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
 
 
 def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):

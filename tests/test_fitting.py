@@ -175,10 +175,8 @@ def test_extrapolate_inverse():
     n = [64, 128, 256, 512]
     vals = [0.7 + 3.0 / L for L in n]
     assert extrapolate_inverse(n, vals) == pytest.approx(0.7, abs=1e-12)
-    vals = [0.7 + 3.0 / L - 2.0 * math.log(L) / L for L in n]
-    assert extrapolate_inverse(n, vals, with_log=True) == pytest.approx(0.7, abs=1e-9)
     with pytest.raises(ValueError):
-        extrapolate_inverse([100, 200], [1.0, 2.0], with_log=True)
+        extrapolate_inverse([100], [1.0])
 
 
 def test_delta_slope_at_unity_linear_data():

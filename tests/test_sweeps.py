@@ -8,26 +8,32 @@ from paritylab.chains import (ChainSpec, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize
-from paritylab.sweeps import (border_pattern, boundary_sweep, bulk_sweep,
-                              dot_pair, dot_series, measure, pair_samples,
-                              resolve_parallelism, size_ladder,
-                              splitting_table)
+from paritylab.sweeps import (boundary_sweep, dot_pair, dot_series, measure,
+                              pair_samples, pair_specs, resolve_parallelism,
+                              size_ladder, splitting_table)
 
 
-def test_border_pattern_layouts():
-    assert border_pattern("single", 0.5, 12) == ((12, 0.5),)
-    assert border_pattern("dot", 0.5, 12) == ((12, 0.5), (13, 0.5))
-    assert border_pattern("alternating", 0.5, 12, n_imp=3) == ((10, 0.5), (12, 0.5), (14, 0.5))
-    with pytest.raises(ValueError):
-        border_pattern("alternating", 0.5, 12, n_imp=2)
-    with pytest.raises(ValueError):
-        border_pattern("alternating", 0.5, 3, n_imp=5)
-    with pytest.raises(ValueError):
-        border_pattern("staggered", 0.5, 12)
+def test_pair_specs_layouts():
+    # a single defect is a block of one bond on the border bond
+    even, odd = pair_specs(0.5, 40, 12)
+    assert even == place_pattern(single_impurity(0.5, 12), 40)
+    assert odd == place_pattern(single_impurity(0.5, 13), 40)
+    # a 3-bond block is centred on the border bond; the odd chain shifts it
+    even, odd = pair_specs(0.5, 40, 12, n_imp=3)
+    assert even.modified_bonds == ((10, 0.5), (12, 0.5), (14, 0.5))
+    assert odd.modified_bonds == ((11, 0.5), (13, 0.5), (15, 0.5))
+    with pytest.raises(ValueError, match="odd n_imp"):
+        pair_specs(0.5, 40, 12, n_imp=2)
+    with pytest.raises(ValueError, match="does not fit"):
+        pair_specs(0.5, 40, 4, n_imp=5)
+    # rings of 0 mod 4 sites have a degenerate Fermi level
+    assert pair_specs(0.5, 42, 12, "periodic")[0].boundary == "periodic"
+    with pytest.raises(ValueError, match="2 mod 4"):
+        pair_specs(0.5, 40, 12, "periodic")
 
 
 def test_pair_samples_against_direct_measurement():
-    even, odd = pair_samples("single", 0.7, 40, 12)
+    even, odd = pair_samples(0.7, 40, 12)
     assert (even.parity, odd.parity) == ("even", "odd")
     assert (even.region_len, odd.region_len) == (12, 13)
     assert even.n_sites == odd.n_sites == 40
@@ -37,7 +43,7 @@ def test_pair_samples_against_direct_measurement():
     s, f = measure(place_pattern(single_impurity(0.7, 13), 40), 13)
     assert (odd.entropy, odd.fluctuation) == (s, f)
     with pytest.raises(ValueError):
-        pair_samples("single", 0.7, 40, 13)
+        pair_samples(0.7, 40, 13)
 
 
 def test_measure_open_chain_regions():
@@ -77,7 +83,7 @@ def test_size_ladder():
 
 
 def test_boundary_sweep_layout():
-    samples = boundary_sweep("single", 0.6, [40, 60], aspect_den=5)
+    samples = boundary_sweep(0.6, [40, 60], aspect_den=5)
     assert [s.parity for s in samples] == ["even", "odd", "even", "odd"]
     assert [s.n_sites for s in samples] == [40, 40, 60, 60]
     assert [s.region_len for s in samples] == [8, 9, 12, 13]
@@ -85,28 +91,28 @@ def test_boundary_sweep_layout():
 
 
 def test_bulk_sweep_ring_constraint():
-    samples = bulk_sweep(0.6, [42], aspect_den=3)
+    samples = boundary_sweep(0.6, [42], aspect_den=3, boundary="periodic")
     assert [s.region_len for s in samples] == [14, 15]
     assert all(s.boundary == "periodic" for s in samples)
     with pytest.raises(ValueError):
-        bulk_sweep(0.6, [40])
+        boundary_sweep(0.6, [40], boundary="periodic")
 
 
 def test_splitting_table():
-    table = splitting_table("single", [0.5, 0.8], [24, 32], aspect_num=1,
+    table = splitting_table([0.5, 0.8], [24, 32], aspect_num=1,
                             aspect_den=2)
     assert set(table) == {(0.5, 24), (0.5, 32), (0.8, 24), (0.8, 32)}
     # each entry is the even-minus-odd difference of one measured pair
     for (ratio, n_sites), deltas in table.items():
-        even, odd = pair_samples("single", ratio, n_sites, n_sites // 2)
+        even, odd = pair_samples(ratio, n_sites, n_sites // 2)
         assert deltas == (even.entropy - odd.entropy,
                           even.fluctuation - odd.fluctuation)
     # splitting shrinks toward the transparent point
     assert abs(table[(0.8, 32)][0]) < abs(table[(0.5, 32)][0])
     with pytest.raises(ValueError):
-        splitting_table("single", [0.5], [25], aspect_num=1, aspect_den=2)
+        splitting_table([0.5], [25], aspect_num=1, aspect_den=2)
     with pytest.raises(ValueError):
-        splitting_table("single", [0.5], [100], aspect_num=1, aspect_den=3)
+        splitting_table([0.5], [100], aspect_num=1, aspect_den=3)
 
 
 def test_dot_series_geometry():
@@ -138,8 +144,8 @@ def test_resolve_parallelism(monkeypatch):
 
 def test_parallel_results_match_serial(monkeypatch):
     monkeypatch.delenv("LAB_THREADS", raising=False)
-    serial = boundary_sweep("single", 0.8, [24, 32], aspect_den=4)
-    parallel = boundary_sweep("single", 0.8, [24, 32], aspect_den=4,
+    serial = boundary_sweep(0.8, [24, 32], aspect_den=4)
+    parallel = boundary_sweep(0.8, [24, 32], aspect_den=4,
                               parallelism=2)
     assert parallel == serial
 
@@ -165,6 +171,6 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.delenv("LAB_THREADS", raising=False)
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
-    pooled = boundary_sweep("single", 0.8, [24, 32], aspect_den=4, parallelism=5000)
+    pooled = boundary_sweep(0.8, [24, 32], aspect_den=4, parallelism=5000)
     assert started == [2]
-    assert pooled == boundary_sweep("single", 0.8, [24, 32], aspect_den=4)
+    assert pooled == boundary_sweep(0.8, [24, 32], aspect_den=4)
