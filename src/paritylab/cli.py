@@ -92,8 +92,7 @@ DEFAULTS = {
 
 # Largest chain a plan may hold.  One solve's peak memory above the
 # imported interpreter (~60 MB), in bytes per L^2, by the route the plan
-# takes, the largest over region lengths (ru_maxrss of one
-# `sweeps.measure` or `spectral.diagonalize`):
+# takes, the largest over region lengths (ru_maxrss of one `sweeps.measure`):
 # - "open": half-filled open chains, torn at the region's border
 #   (`spectral.half_filled_block`); the peak grows with the region, from
 #   31 MB at l = L/10 through 148 MB at l = L/2 to 319 MB at l = 0.9 L,
@@ -102,10 +101,9 @@ DEFAULTS = {
 #   one mirror sector of L/2 sites, torn after the region's last row while
 #   that row lies in the sector's first half: 143 MB above the interpreter
 #   for 6002 sites at l = L/10, 161 MB at l = L/4, the largest torn region,
-#   and 170 MB (4.7 L^2) at l = L/2, where the whole sector takes `stevd`;
-# - "dense": every orbital of `spectral.diagonalize`, which the zero-modes
-#   scan takes: 804 MB for an open chain of 6900 sites.
-PEAK_BYTES = {"open": 7.0, "periodic": 4.7, "dense": 17.0}
+#   and 170 MB (4.7 L^2) at l = L/2, where the whole sector takes `stevd`.
+# The zero-modes scan takes B's singular values alone, in O(L) memory.
+PEAK_BYTES = {"open": 7.0, "periodic": 4.7}
 MAX_SITES = 10_000
 
 
@@ -239,13 +237,13 @@ def _pick(kind: str, pair: tuple) -> tuple:
     return {"entropy": pair[:1], "fluctuation": pair[1:], "both": pair}[kind]
 
 
-def _check_size(n_sites, route: str, where: str = "") -> None:
+def _check_size(n_sites, route: str | None, where: str = "") -> None:
     """Config error if a chain of n_sites is above MAX_SITES, quoting the
-    memory that route ("open", "periodic" or "dense") would take."""
+    memory that route ("open" or "periodic") would take, if any."""
     if n_sites > MAX_SITES:
         n = n_sites if n_sites < 1e150 else math.inf  # no float overflow on huge ints
-        raise ConfigError(f"{where}n_sites={n:.6g} is above MAX_SITES={MAX_SITES} "
-                          f"(~{PEAK_BYTES[route] * 1e-9 * n * n:.3g} GB to solve)")
+        memory = f" (~{PEAK_BYTES[route] * 1e-9 * n * n:.3g} GB to solve)" if route else ""
+        raise ConfigError(f"{where}n_sites={n:.6g} is above MAX_SITES={MAX_SITES}{memory}")
 
 
 def _check_pairs(sizes, build, route: str) -> None:
@@ -371,7 +369,7 @@ def _plan_slope_at_unity(c):
 def _plan_zero_modes(c):
     ratio, lead = c["ratio"], c["lead"]
     chains = {n_imp: 2 * lead + 2 * n_imp for n_imp in c["n_imps"]}
-    _check_size(max(chains.values()), "dense")
+    _check_size(max(chains.values()), None)
     jobs = tuple((f"n_imp={n_imp} n_sites={n_sites}", near_zero_modes,
                   (place_pattern(alternating_block(ratio, lead + 1, n_imp), n_sites),))
                  for n_imp, n_sites in chains.items())
@@ -502,6 +500,9 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if header is None:
         raise ConfigError(f"{path} is empty")
+    for row in rows:
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {row} does not have the header's {len(header)} cells")
     return header, rows
 
 
@@ -514,16 +515,12 @@ def cmd_compare(args) -> int:
         if header_a != header_b:
             raise ConfigError(f"schema mismatch: {header_a} vs {header_b}")
         keys = args.keys.split(",")
-        missing = [k for k in keys if k not in header_a]
-        if missing:
-            raise ConfigError(f"key columns not in schema: {', '.join(missing)}")
-        if args.values:
-            value_cols = args.values.split(",")
-            missing = [c for c in value_cols if c not in header_a]
+        value_cols = (args.values.split(",") if args.values
+                      else [c for c in header_a if c not in keys])
+        for kind, columns in (("key", keys), ("value", value_cols)):
+            missing = [c for c in columns if c not in header_a]
             if missing:
-                raise ConfigError(f"value columns not in schema: {', '.join(missing)}")
-        else:
-            value_cols = [c for c in header_a if c not in keys]
+                raise ConfigError(f"{kind} columns not in schema: {', '.join(missing)}")
         key_idx = [header_a.index(k) for k in keys]
         val_idx = [header_a.index(c) for c in value_cols]
 
@@ -546,7 +543,8 @@ def cmd_compare(args) -> int:
     if not shared:
         print("no shared keys", file=sys.stderr)
         return 1
-    bad = 0
+    bad = [f"key {key} only in {args.a if key in table_a else args.b}"
+           for key in sorted(set(table_a) ^ set(table_b))]
     for key in shared:
         for col, i in zip(value_cols, val_idx):
             va, vb = table_a[key][i], table_b[key][i]
@@ -556,10 +554,10 @@ def cmd_compare(args) -> int:
             except ValueError:
                 ok = False
             if not ok:
-                bad += 1
-                if bad <= 20:
-                    print(f"key {key} column {col}: {va} vs {vb}", file=sys.stderr)
-    print(f"compared {len(shared)} shared keys, {bad} mismatches")
+                bad.append(f"key {key} column {col}: {va} vs {vb}")
+    for line in bad[:20]:
+        print(line, file=sys.stderr)
+    print(f"compared {len(shared)} shared keys, {len(bad)} mismatches")
     return 1 if bad else 0
 
 

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .chains import PARITIES, ChainSpec
-from .spectral import diagonalize
+from .spectral import sublattice_singular_values
 from .theory import transmission_coefficient
 
 
@@ -100,13 +100,12 @@ class NearZeroModes:
 
 
 def near_zero_modes(spec: ChainSpec) -> NearZeroModes:
-    """The in-gap pair of a chain with a defect block.
+    """The in-gap pair of an open chain of even length with a defect block.
 
-    Diagonalizes the chain and takes the two levels nearest zero energy;
-    for a gapped alternating chain these are the hybridized edge modes,
-    and their splitting measures the tunnelling through the block.
+    The two levels nearest zero energy are -+sigma_min of the sublattice
+    block (`sublattice_singular_values`); for a gapped alternating chain
+    these are the hybridized edge modes, and their splitting measures the
+    tunnelling through the block.
     """
-    data = diagonalize(spec)
-    order = np.argsort(np.abs(data.energies))
-    i, j = sorted(order[:2])
-    return NearZeroModes(energies=(float(data.energies[i]), float(data.energies[j])))
+    sigma_min = float(sublattice_singular_values(spec)[0])
+    return NearZeroModes(energies=(-sigma_min, sigma_min))

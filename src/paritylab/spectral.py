@@ -44,11 +44,11 @@ when the rest carries no defect and the region's rows do not reach past
 the sector's middle; otherwise the whole sector's eigenpairs are taken.
 Other rings read Q_A off the filled orbitals of `diagonalize`.
 
-`diagonalize` returns every orbital, for any filling, by one of two
-routes picked from the boundary: open chains are tridiagonal and go
-straight to LAPACK's tridiagonal divide-and-conquer eigensolver on the
-bond hoppings, and rings take the dense symmetric solver, which is the
-exact reference for every fast ring route.
+`sublattice_singular_values` gives an open chain's levels -+sigma without
+orbitals, each sigma, the in-gap sigma_min too, to high relative accuracy
+(dqds: Fernando & Parlett, Numer. Math. 67, 191, 1994; Demmel & Kahan,
+SIAM J. Sci. Stat. Comput. 11, 873, 1990).  `diagonalize` returns every
+orbital, for any filling, by the dense solver: the reference for them all.
 """
 
 from __future__ import annotations
@@ -141,20 +141,8 @@ class SpectralData:
 
 
 def diagonalize(spec: ChainSpec) -> SpectralData:
-    """Diagonalize the single-particle Hamiltonian of a chain.
-
-    Two routes, both exact:
-
-    - open chains: the tridiagonal divide-and-conquer solver (LAPACK
-      ``stevd``) with zero diagonal and off-diagonal -t_b;
-    - rings: ``numpy.linalg.eigh`` of `build_hamiltonian`, which shares
-      no code with the mirror-sector route of `half_filled_block` and is
-      its reference.
-
-    ``stevd`` rather than the faster MRRR ``stemr``: MRRR orbitals are
-    orthogonal only to ~1e-13 at L ~ 10^3, against ~1e-15 here, which
-    moves entropies by up to ~4e-10 and slopes taken from near-equal pairs
-    by far more.
+    """Eigenpairs of a chain's `build_hamiltonian` by ``numpy.linalg.eigh``:
+    the reference for `half_filled_block` and `sublattice_singular_values`.
 
     Returns
     -------
@@ -166,15 +154,27 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
     numpy.linalg.LinAlgError
         If LAPACK fails; the message names the chain size.
     """
-    n = spec.n_sites
-    if spec.boundary == "open":
-        energies, orbitals = _tridiagonal(np.zeros(n), -spec.bond_ratios(), n)
-    else:
-        try:
-            energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
-        except np.linalg.LinAlgError as err:
-            raise _solver_error("eigh", n, err) from err
+    try:
+        energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+    except np.linalg.LinAlgError as err:
+        raise _solver_error("eigh", spec.n_sites, err) from err
     return SpectralData(energies=energies, orbitals=orbitals)
+
+
+def sublattice_singular_values(spec: ChainSpec) -> np.ndarray:
+    """Singular values sigma, ascending, of the sublattice block B of an
+    open chain of even length, whose energies are -+sigma: ``dlasdq``
+    without vectors runs dqds (LAPACK's ``dlasq1``, through ``dbdsqr``), in
+    O(L) time and memory.  A ring or an odd length raises ValueError, and a
+    LAPACK failure numpy.linalg.LinAlgError naming the routine and chain."""
+    n = half_filling(spec)
+    if spec.boundary != "open":
+        raise ValueError(f"sublattice singular values need an open chain, got {spec.boundary}")
+    sigma, e = _bidiagonal(spec.bond_ratios())
+    unused = np.zeros(1)
+    _lapack(_dlasdq, "lasdq", spec.n_sites, b"U", 0, n, 0, 0, 0, sigma, e, unused, 1,
+            unused, 1, unused, 1, np.empty(4 * n))
+    return sigma
 
 
 def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
@@ -425,16 +425,22 @@ def _segment(ratios: np.ndarray, n_sites: int):
         first[:k] = 2.0 / np.sqrt(m + 1) * np.sin(np.pi * j / (m + 1))
         first[k:] = np.sqrt(2.0 / (m + 1))  # the zero mode, on the columns only
         return sigma, first
-    hoppings = -ratios
-    sigma = hoppings[0::2].copy()
-    e = np.zeros(k)
-    e[:k - 1 + sqre] = hoppings[1::2]
+    sigma, e = _bidiagonal(ratios)
     first = np.zeros(k + sqre)
     first[0] = 1.0
     unused = np.zeros(1)
     _lapack(_dlasdq, "lasdq", n_sites, b"U", sqre, k, 1, 0, 0, sigma, e, first, k + sqre,
             unused, 1, unused, 1, np.empty(4 * (k + sqre)))
     return sigma, first
+
+
+def _bidiagonal(ratios: np.ndarray):
+    """Diagonal and superdiagonal, zero-padded to the same length, of C =
+    B^T of the segment these bond ratios join: the hoppings -t_b in turn."""
+    hoppings = -ratios
+    e = np.zeros((ratios.size + 1) // 2)
+    e[:ratios.size // 2] = hoppings[1::2]
+    return hoppings[0::2].copy(), e
 
 
 def _end_block(ratios: np.ndarray, m: int) -> np.ndarray:
@@ -447,10 +453,7 @@ def _end_block(ratios: np.ndarray, m: int) -> np.ndarray:
     """
     n_sites = ratios.size + 1
     n = n_sites // 2
-    hoppings = -ratios
-    sigma = hoppings[0::2].copy()
-    e = np.zeros(n)
-    e[:n - 1] = hoppings[1::2]
+    sigma, e = _bidiagonal(ratios)
     vt = np.zeros((n, 1), order="F")
     u = np.zeros((1, n), order="F")
     vt[0, 0] = u[0, 0] = 1.0

@@ -71,7 +71,7 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         raise AssertionError("a config error reached a solve")
 
     monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
-    monkeypatch.setattr(scattering, "diagonalize", no_solve)
+    monkeypatch.setattr(scattering, "sublattice_singular_values", no_solve)
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
@@ -255,19 +255,22 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
             ("dot-overflow", dict(scenario="dot-crossover", ratios=[1e-160])),
             ("dot-huge", dict(scenario="dot-crossover", ratios=[0.001])),
             ("big-ladder", dict(scenario="impurity-sweep", ratios=[0.8],
-                                sizes={"lo": 9000, "hi": 12000, "step": 20})),
-            ("big-lead", dict(scenario="zero-modes", lead=10**6))):
+                                sizes={"lo": 9000, "hi": 12000, "step": 20}))):
         cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
         assert cli.main(["run", cfg]) == 2, name
         err = capsys.readouterr().err
         assert "MAX_SITES" in err and "GB" in err, name
-    # each refusal quotes its own route's memory: the open-chain tear, a
-    # bond-centred ring's mirror sector, or every orbital
+    # the zero-modes scan takes O(L) memory: its refusal names the size only
+    cfg = _write_config(tmp_path / "big-lead.json", output="big-lead.csv",
+                        scenario="zero-modes", lead=10**6)
+    assert cli.main(["run", cfg]) == 2
+    assert "n_sites=2.00001e+06 is above MAX_SITES=10000\n" in capsys.readouterr().err
+    # each refusal quotes its own route's memory: the open-chain tear or a
+    # bond-centred ring's mirror sector
     for name, config, gigabytes in (
             ("open", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[400, 20000]), 2.8),
             ("ring", dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8],
-                          sizes=[20002]), 1.88),
-            ("dense", dict(scenario="zero-modes", lead=4994), 1.7)):
+                          sizes=[20002]), 1.88)):
         cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)
         assert cli.main(["run", cfg]) == 2, name
         assert f"(~{gigabytes:.3g} GB to solve)" in capsys.readouterr().err, name
@@ -335,6 +338,16 @@ def test_compare_equal_and_perturbed(tmp_path, capsys):
     assert cli.main(["compare", "n.csv", "k.csv", "--keys", "a", "--tol", "1e300"]) == 1
     assert "nan vs 1.0" in capsys.readouterr().err
 
+    # a key that one file holds and the other lacks, a dropped row, is a
+    # mismatch either way round
+    (tmp_path / "full.csv").write_text("a,b\n1,2\n2,3\n")
+    (tmp_path / "part.csv").write_text("a,b\n1,2\n")
+    for pair in (("full.csv", "part.csv"), ("part.csv", "full.csv")):
+        assert cli.main(["compare", *pair, "--keys", "a"]) == 1, pair
+        captured = capsys.readouterr()
+        assert "key ('2',) only in full.csv" in captured.err, pair
+        assert "compared 1 shared keys, 1 mismatches" in captured.out, pair
+
 
 def test_compare_schema_and_key_errors(tmp_path, capsys):
     (tmp_path / "x.csv").write_text("a,b\n1,2\n")
@@ -345,6 +358,14 @@ def test_compare_schema_and_key_errors(tmp_path, capsys):
     (tmp_path / "z.csv").write_text("a,b\n1,2\n1,3\n")
     assert cli.main(["compare", "z.csv", "z.csv", "--keys", "a"]) == 2
     assert "duplicate key" in capsys.readouterr().err
+
+    # a row with fewer or more cells than the header names its file and row
+    (tmp_path / "short.csv").write_text("a,b\n1,2\n2\n")
+    (tmp_path / "long.csv").write_text("a,b\n1,2,3\n")
+    for path, row in (("short.csv", "['2']"), ("long.csv", "['1', '2', '3']")):
+        assert cli.main(["compare", path, path, "--keys", "a"]) == 2, path
+        assert (f"compare error: {path}: row {row} does not have the header's 2 cells"
+                in capsys.readouterr().err), path
 
     assert cli.main(["compare", "x.csv", "x.csv", "--keys", "q"]) == 2
     assert cli.main(["compare", "x.csv", "x.csv", "--keys", "a",
@@ -392,7 +413,7 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
             with monkeypatch.context() as patch:
                 # every sweep scenario here, open or ring, solves at half filling
                 if config["scenario"] == "zero-modes":
-                    patch.setattr(scattering, "diagonalize", fail)
+                    patch.setattr(scattering, "sublattice_singular_values", fail)
                 elif isinstance(failure, DegenerateFermiLevelError):
                     patch.setattr(sweeps, "half_filled_block", fail)
                 else:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paritylab.chains import alternating_block, build_hamiltonian, place_pattern
+from paritylab.chains import alternating_block, build_hamiltonian, homogeneous, place_pattern
 from paritylab.scattering import (effective_strength, exterior_matching, near_zero_modes,
                                   phase_shift)
 
@@ -64,3 +64,21 @@ def test_near_zero_splitting_scales_with_block_size():
         splittings[n_imp] = near_zero_modes(spec).splitting
     assert splittings[5] / splittings[3] == pytest.approx(0.64, rel=0.05)
     assert splittings[7] / splittings[5] == pytest.approx(0.64, rel=0.05)
+
+
+@pytest.mark.parametrize("n_imp, splitting", [
+    # 2 sigma_min of B by mpmath at 80 digits
+    (31, 5.701974946625378667e-11),
+    (61, 5.3103779876841033502e-20),
+])
+def test_near_zero_splitting_to_full_relative_accuracy(n_imp, splitting):
+    # ratio 0.5 and leads of 30 sites, as the zero-modes scenario builds them:
+    # the splitting lies far below the bandwidth's rounding, ~1e-16
+    spec = place_pattern(alternating_block(0.5, 31, n_imp), 60 + 2 * n_imp)
+    assert near_zero_modes(spec).splitting == pytest.approx(splitting, rel=1e-12, abs=0)
+
+
+def test_near_zero_modes_need_an_even_open_chain():
+    for spec in (homogeneous(66, "periodic"), homogeneous(67)):
+        with pytest.raises(ValueError):
+            near_zero_modes(spec)

@@ -15,7 +15,7 @@ from paritylab.observables import (Region, charge_fluctuation, entanglement_entr
                                    region_observables, sublattice_occupations)
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
-                                mirror_axis, occupy)
+                                mirror_axis, occupy, sublattice_singular_values)
 from paritylab.sweeps import measure
 
 
@@ -102,31 +102,18 @@ def _random_rings(rng):
 
 def _check_against_dense(spec, rng):
     n = spec.n_sites
-    energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
-    # rings take the dense solver in diagonalize itself: only measure is checked
-    is_open = spec.boundary == "open"
-    if is_open:
-        fast = diagonalize(spec)
-        assert np.abs(fast.energies - energies).max() <= 1e-9
-        # slopes from near-equal pairs amplify any loss of orthogonality
-        assert np.abs(fast.orbitals.T @ fast.orbitals - np.eye(n)).max() <= 5e-14
     if n % 2:
         return
-    filling = half_filling(spec)
-    filled = orbitals[:, :filling]
+    energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+    filled = orbitals[:, :half_filling(spec)]
     g_dense = filled @ filled.T
-    first = int(rng.integers(1, n))
-    regions = [Region(1, int(rng.integers(1, n + 1))),
-               Region(first, int(rng.integers(1, n - first + 2)))]
+    is_open = spec.boundary == "open"
     if is_open:
-        for region in regions:
-            ref = region_observables(g_dense, region)
-            obs = region_observables(correlation_matrix(fast, filling), region)
-            assert obs.entropy == pytest.approx(ref.entropy, abs=1e-9)
-            assert obs.fluctuation == pytest.approx(ref.fluctuation, abs=1e-9)
         _check_sublattice_svd(spec, energies)
+    first = int(rng.integers(1, n))
+    lengths = [int(rng.integers(1, n + 1)), first - 1 + int(rng.integers(1, n - first + 2))]
     # an odd region has one unpaired mode at 1/2
-    for length in (regions[0].length, 2 * (first // 2) + 1, n):
+    for length in (*lengths, 2 * (first // 2) + 1, n):
         ref = region_observables(g_dense, Region(1, length))
         s, f = measure(spec, length)
         assert s == pytest.approx(ref.entropy, abs=1e-9)
@@ -180,6 +167,7 @@ def _check_sublattice_svd(spec, energies):
     assert np.abs(u.T @ u - np.eye(n)).max() <= 5e-14
     assert np.abs(vt @ vt.T - np.eye(n)).max() <= 5e-14
     assert np.abs(sigma[::-1] - energies[n:]).max() <= 1e-9
+    assert np.abs(sublattice_singular_values(spec) - energies[n:]).max() <= 1e-9
 
 
 def test_open_chain_route_matches_dense_oracle():
@@ -333,27 +321,29 @@ def _lapack_fails(*pointers):
     ctypes.c_int.from_address(pointers[-1]).value = 3
 
 
-@pytest.mark.parametrize("spec, solve", [
-    pytest.param(homogeneous(14), diagonalize, id="open"),
-    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7),
+@pytest.mark.parametrize("spec, solve, routine", [
+    pytest.param(homogeneous(14), diagonalize, "eigh", id="open"),
+    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7), "lasd6",
                  id="open-half-filled"),
-    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 13),
+    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 13), "lasdq",
                  id="open-half-filled-end"),
-    pytest.param(homogeneous(14, "periodic"), diagonalize, id="periodic"),
+    pytest.param(homogeneous(14), sublattice_singular_values, "lasdq",
+                 id="sublattice-singular-values"),
+    pytest.param(homogeneous(14, "periodic"), diagonalize, "eigh", id="periodic"),
     pytest.param(homogeneous(14, "periodic"), lambda spec: half_filled_block(spec, 7),
-                 id="periodic-half-filled"),
+                 "stevd", id="periodic-half-filled"),
     # no mirror axis: the dense route
-    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), diagonalize,
+    pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), diagonalize, "eigh",
                  id="asymmetric-ring"),
 ])
-def test_solver_failure_names_chain_size(spec, solve, monkeypatch):
+def test_solver_failure_names_chain_size(spec, solve, routine, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
-    for routine in ("_dstevd", "_dlasdq", "_dlasd6", "_dlaed8", "_dlaed9"):
-        monkeypatch.setattr(spectral, routine, _lapack_fails)
+    for name in ("_dstevd", "_dlasdq", "_dlasd6", "_dlaed8", "_dlaed9"):
+        monkeypatch.setattr(spectral, name, _lapack_fails)
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(np.linalg.LinAlgError, match="14x14 chain"):
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed on 14x14 chain"):
         solve(spec)
 
 
