@@ -13,9 +13,9 @@ values give the same occupations at half the matrix size; every sweep
 takes this route, `sublattice_occupations`.  `region_observables` is the
 general route, for any region at any filling, and the reference for it.
 
-Occupations are clamped away from 0 and 1 before the logarithms; values
-outside [0, 1] beyond numerical noise indicate a broken correlation
-matrix and raise instead of being silently clipped.
+Occupations are clipped to [0, 1], where ``xlogy`` is exact and a pure
+mode adds nothing; values outside [0, 1] beyond numerical noise, or NaN,
+indicate a broken correlation matrix and raise instead of being clipped.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from scipy.special import xlogy
 # Occupations may leave [0, 1] by at most this much before we call the
 # correlation matrix broken.
 OCCUPATION_ATOL = 1e-8
-# Clamp for the entropy logarithms.
-_CLAMP = 1e-14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,19 +70,19 @@ def restrict(g: np.ndarray, region: Region) -> np.ndarray:
 
 
 def occupation_spectrum(g_a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a restricted correlation matrix, validated and clamped.
+    """Eigenvalues of a restricted correlation matrix, validated and clipped.
 
     Returns
     -------
     ndarray
-        Ascending occupations, clamped to [1e-14, 1 - 1e-14].
+        Ascending occupations, clipped to [0, 1].
     """
     return _checked(np.linalg.eigvalsh(g_a))
 
 
 def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
     """Occupations of a half-filled bipartite region from its sublattice
-    block, validated and clamped like `occupation_spectrum`.
+    block, validated and clipped like `occupation_spectrum`.
 
     In sublattice order G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]], whose
     eigenvalues are 1/2 (1 -+ sigma_i) over the singular values sigma_i of
@@ -94,7 +92,7 @@ def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray
-        Ascending occupations, clamped to [1e-14, 1 - 1e-14].
+        Ascending occupations, clipped to [0, 1].
     """
     sigma = np.linalg.svd(q_a, compute_uv=False)
     unpaired = np.full(abs(q_a.shape[0] - q_a.shape[1]), 0.5)
@@ -102,11 +100,12 @@ def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
 
 
 def _checked(nu: np.ndarray) -> np.ndarray:
-    if nu.min() < -OCCUPATION_ATOL or nu.max() > 1.0 + OCCUPATION_ATOL:
+    # written so that NaN fails too
+    if not (nu.min() >= -OCCUPATION_ATOL and nu.max() <= 1.0 + OCCUPATION_ATOL):
         raise ValueError(
             f"occupations outside [0, 1]: min {nu.min():.3e}, max {nu.max():.3e}"
         )
-    return np.clip(nu, _CLAMP, 1.0 - _CLAMP)
+    return np.clip(nu, 0.0, 1.0)
 
 
 def entanglement_entropy(occupations: np.ndarray) -> float:

@@ -42,7 +42,7 @@ them.  Its eigenvectors are read out on the region's rows alone, so Q_A
 comes out exactly, not up to orthogonal factors.  The tear is taken only
 when the rest carries no defect and the region's rows do not reach past
 the sector's middle; otherwise the whole sector's eigenpairs are taken.
-Other rings read Q_A off the filled orbitals of `diagonalize`.
+A ring with no such axis is refused.
 
 `sublattice_singular_values` gives an open chain's levels -+sigma without
 orbitals, each sigma, the in-gap sigma_min too, to high relative accuracy
@@ -181,7 +181,7 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     """Sublattice block Q_A of the half-filled correlation matrix of a
     chain's first region_len sites, a = ceil(l/2) odd and b = floor(l/2)
     even ones: G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]] in (odd sites, even
-    sites) order (module docstring).  Three routes, picked from the chain:
+    sites) order (module docstring).  Two routes, picked from the chain:
 
     - open chains: the tear at the region's border of `_torn_block`,
       which returns W = O_1 Q_A O_2 with O_1 and O_2 orthogonal, not Q_A
@@ -199,9 +199,8 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
       side, a tear after the region's last row m and one secular merge
       give those rows alone, in O(L^2 + m^2 L) time and O(L^2) memory,
       when the rest carries no defect; a region whose rows reach past the
-      sector's middle, or a rest with a defect, takes every eigenpair;
-    - other rings: Q_A = -2 phi_A[0::2] phi_A[1::2]^T over the region's
-      rows phi_A of the filled orbitals of `diagonalize`.
+      sector's middle, or a rest with a defect, takes every eigenpair.
+      Any other ring raises ValueError; no planner builds one.
 
     Returns
     -------
@@ -210,8 +209,9 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the chain has an odd number of sites, or the region is empty
-        or longer than the chain.
+        If the chain has an odd number of sites, the region is empty or
+        longer than the chain, or the chain is a ring with no mirror axis
+        through two bonds.
     DegenerateFermiLevelError
         If the Fermi gap, 2 sigma_min of B on open chains and 2 min |E| on
         bond-axis rings, fails `occupy`'s rule.
@@ -221,7 +221,7 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         MERGE_NORM_ATOL; the message names the routine and the chain
         size.
     """
-    n_filled = half_filling(spec)
+    half_filling(spec)  # an odd length raises
     if region_len > spec.n_sites:
         raise ValueError(f"region ends at site {region_len} but chain has {spec.n_sites}")
     if region_len < 1:
@@ -229,10 +229,10 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     ratios = spec.bond_ratios()
     if spec.boundary != "open":
         axis = mirror_axis(ratios)
-        if axis is not None and axis % 2:
-            return _bond_axis_block(ratios, axis, region_len)
-        phi_a = occupy(diagonalize(spec), n_filled)[:region_len]
-        return -2.0 * phi_a[0::2] @ phi_a[1::2].T
+        if axis is None or axis % 2 == 0:
+            raise ValueError(f"ring of {spec.n_sites} sites has no mirror axis through two "
+                             f"bonds ({'none' if axis is None else f'only axis {axis}'})")
+        return _bond_axis_block(ratios, axis, region_len)
     n = spec.n_sites
     # the even site next to the region's border: l + 1 for odd l; an even
     # region is read from the chain's far end, where site l + 1 is L - l
@@ -398,7 +398,7 @@ def _secular_right(j, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
 
 def _check_unit_norm(norms: np.ndarray, n_sites: int, routine: str) -> None:
     deviation = np.abs(norms - 1.0).max(initial=0.0)
-    if deviation > MERGE_NORM_ATOL:
+    if not deviation <= MERGE_NORM_ATOL:  # NaN fails too
         raise _solver_error(f"{routine} merge", n_sites, f"a merged vector's norm is off 1 "
                             f"by {deviation:.1e}")
 
@@ -621,14 +621,15 @@ def mirror_axis(ratios: np.ndarray) -> int | None:
     (c - j) mod L and bond b to (c - 1 - b) mod L; it is a symmetry when
     ratios[b] == ratios[(c - 1 - b) mod L] for every bond.  A symmetry
     must map the first modified bond onto a modified bond, so only those
-    |M| axes are tried, each with one O(L) comparison; a clean ring takes
-    c = 1.  Rings of fewer than three sites, whose two bonds join the
-    same pair of sites, have none.
+    |M| axes are tried, each with one O(L) comparison, the odd ones (through
+    two bonds) first; a clean ring takes c = 1.  Rings of fewer than three
+    sites, whose two bonds join the same pair of sites, have none.
 
     Returns
     -------
     int or None
-        The axis c in 0..L-1, or None if the ring has no mirror axis.
+        The axis c in 0..L-1, odd if the ring has an axis through two bonds,
+        or None if the ring has no mirror axis.
     """
     n = ratios.size
     if n < 3:
@@ -636,7 +637,7 @@ def mirror_axis(ratios: np.ndarray) -> int | None:
     modified = np.flatnonzero(ratios != 1.0)
     if modified.size == 0:
         return 1
-    for target in modified:
+    for target in sorted(modified, key=lambda b: (b - modified[0]) % 2):
         axis = int(modified[0] + target + 1) % n
         if np.array_equal(ratios, ratios[(axis - 1 - np.arange(n)) % n]):
             return axis

@@ -29,20 +29,17 @@ FLUCT_PLATEAU = 0.25
 FLUCT_SERIES_CONSTANT = (1.0 + EULER_GAMMA + math.log(2.0)) / math.pi**2
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
-# The replica-difference kernels are O(h) differences of O(1) terms, so
-# their usable absolute accuracy floor sits near 1e-12.
-_DIFF_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
 
 
-def _quad(f, lo: float, hi: float, opts: dict) -> float:
+def _quad(f, lo: float, hi: float) -> float:
     # scipy.integrate loads scipy.optimize, a quarter second that only the
     # quadrature-based predictions need to pay
     from scipy import integrate
 
-    return integrate.quad(f, lo, hi, **opts)[0]
+    return integrate.quad(f, lo, hi, **_QUAD_OPTS)[0]
 
 
-def _half_line(f, f_tail, sin2: float, opts: dict) -> float:
+def _half_line(f, f_tail, sin2: float) -> float:
     """int_0^infty f(x) / sqrt(1 + sin2 x^2) dx as [0, 1] in x plus [0, 1]
     in t = 1/x, where f_tail(t) = f(1/t) / t^2 and the weight becomes
     t / sqrt(t^2 + sin2)."""
@@ -51,8 +48,8 @@ def _half_line(f, f_tail, sin2: float, opts: dict) -> float:
         w = t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0
         return f_tail(t) * w
 
-    lo = _quad(lambda x: f(x) / math.sqrt(1.0 + sin2 * x * x), 0.0, 1.0, opts)
-    return lo + _quad(tail, 0.0, 1.0, opts)
+    lo = _quad(lambda x: f(x) / math.sqrt(1.0 + sin2 * x * x), 0.0, 1.0)
+    return lo + _quad(tail, 0.0, 1.0)
 
 
 def dilog(z: float) -> float:
@@ -133,36 +130,20 @@ def effective_central_charge_alt(s: float) -> float:
     return s - 1.0 - 6.0 / math.pi**2 * bracket
 
 
-def _entropy_kernel(x: float, q: float, p: float) -> float:
-    # bracket (x^2(1+x^2))^((q-1)/2) / ((1+x^2)^q - x^(2q)) - p with q = 1/p,
-    # written through logs so the x -> 0 endpoint stays stable
-    lx = math.log(x)
-    num = math.exp((q - 1.0) * (lx + 0.5 * math.log1p(x * x)))
-    den = math.exp(q * math.log1p(x * x)) - math.exp(2.0 * q * lx)
-    return num / den - p
-
-
-def _entropy_kernel_tail(t: float, q: float, p: float) -> float:
-    # bracket at x = 1/t, multiplied by the 1/t^2 Jacobian of the inversion
-    lt = math.log(t)
-    num = math.exp((q - 1.0) * 0.5 * (math.log1p(t * t) - 4.0 * lt) + 2.0 * q * lt)
-    den = math.expm1(q * math.log1p(t * t))
-    return (num / den - p) / (t * t)
-
-
-def _entropy_integral(p: float, sin2: float) -> float:
-    q = 1.0 / p
-    return _half_line(lambda x: _entropy_kernel(x, q, p),
-                      lambda t: _entropy_kernel_tail(t, q, p), sin2, _DIFF_QUAD_OPTS)
-
-
 def entropy_slope_integral(aspect: float) -> float:
     """Linear-response integral D for the parity splitting of the entropy.
 
-    D is the derivative at p = 1 of a one-parameter family of integrals;
-    the even/odd entropy difference of a subsystem occupying a fraction
+    D is the derivative at p = 1 of a one-parameter family of integrals
+    over the bracket (x^2(1+x^2))^((q-1)/2) / ((1+x^2)^q - x^(2q)) - p,
+    q = 1/p, taken in closed form under the integral:
+
+        D = int_0^infty k(x) / sqrt(1 + sin^2(pi aspect) x^2) dx,
+        k(x) = (1+x^2) ln(1+x^2) - x^2 ln x^2 - ln x - ln(1+x^2)/2 - 1.
+
+    The even/odd entropy difference of a subsystem occupying a fraction
     ``aspect`` of the chain behaves as (4 D / pi)(ratio - 1) close to the
-    homogeneous point.  D(0) = pi/6 reproduces the infinite-system value.
+    homogeneous point.  D(0) = pi/6 reproduces the infinite-system value,
+    and D(1/2) = 1/2.
 
     Parameters
     ----------
@@ -171,15 +152,28 @@ def entropy_slope_integral(aspect: float) -> float:
     """
     if not 0.0 <= aspect <= 0.5:
         raise ValueError(f"aspect must be in [0, 1/2], got {aspect}")
-    sin2 = math.sin(math.pi * aspect) ** 2
-    h = 1e-4
-    return (_entropy_integral(1.0 + h, sin2) - _entropy_integral(1.0 - h, sin2)) / (2.0 * h)
+    return _half_line(_entropy_slope_kernel, _entropy_slope_kernel_tail,
+                      math.sin(math.pi * aspect) ** 2)
+
+
+def _entropy_slope_kernel(x: float) -> float:
+    y = x * x
+    log1p_y = math.log1p(y)
+    return (1.0 + y) * log1p_y - y * math.log(y) - math.log(x) - 0.5 * log1p_y - 1.0
+
+
+def _entropy_slope_kernel_tail(t: float) -> float:
+    # k(1/t) / t^2 = [ln(1+u)/2 + (ln(1+u) - u)/u] / u with u = t^2: no
+    # large terms left to cancel
+    u = t * t
+    log1p_u = math.log1p(u)
+    return (0.5 * log1p_u + (log1p_u - u) / u) / u
 
 
 def entropy_parity_slope(aspect: float) -> float:
     """d(delta S)/d(ratio) at ratio 1 for subsystem fraction ``aspect``,
     equal to 4/pi times `entropy_slope_integral`; 2/3 in the infinite
-    system and slightly below 0.637 for the half chain.
+    system and 2/pi for the half chain.
     """
     return 4.0 / math.pi * entropy_slope_integral(aspect)
 
@@ -199,7 +193,7 @@ def fluct_parity_slope(aspect: float) -> float:
 def _fluct_integral(sin2: float) -> float:
     # int_0^infty [ln(1 + 1/x^2)]^2 / sqrt(1 + sin2 x^2) dx
     return _half_line(lambda x: math.log1p(1.0 / (x * x)) ** 2,
-                      lambda t: math.log1p(t * t) ** 2 / (t * t), sin2, _QUAD_OPTS)
+                      lambda t: math.log1p(t * t) ** 2 / (t * t), sin2)
 
 
 def tabulated_entropy_integral() -> float:
@@ -226,8 +220,8 @@ def tabulated_entropy_integral() -> float:
         num = one_minus_x2 + (1.0 + x * x) * math.log1p(-u * u)
         return num / one_minus_x2**2.5 * 2.0 * u
 
-    lo = _quad(lower, 0.0, half, _QUAD_OPTS)
-    hi = _quad(upper, 0.0, half, _QUAD_OPTS)
+    lo = _quad(lower, 0.0, half)
+    hi = _quad(upper, 0.0, half)
     return lo + hi
 
 

@@ -14,6 +14,7 @@ from paritylab.fock import (MAX_SITES, fock_entropy, fock_fluctuation,
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filling, mirror_axis)
+from paritylab.sweeps import measure
 
 
 def _random_spec(rng):
@@ -187,6 +188,36 @@ def test_matches_correlation_route_on_ring():
     assert mirror_axis(largest.bond_ratios()) is not None
     _assert_matches_correlation_route(largest, Region(1, 4))
     _assert_matches_correlation_route(largest, Region(3, 7))
+
+
+def test_matches_half_filled_route():
+    # sweeps.measure, the route every sweep takes, on every region [1, l] of
+    # open chains and bond-centred rings whose regions reach the torn, end
+    # and whole-sector routes.  A pure state at fixed particle number gives
+    # a region and its complement the same S and F, so Fock takes the
+    # shorter of the two: a 14-site region would need a 3432 x 3432 rho_A
+    specs = []
+    for n in range(6, 15, 2):
+        specs += [homogeneous(n), place_pattern(single_impurity(0.6, 3), n),
+                  place_pattern(alternating_block(0.5, n // 2 - 2, 3), n)]
+    for n in (6, 10, 14):
+        specs += [homogeneous(n, "periodic"),
+                  place_pattern(single_impurity(0.6, 2), n, "periodic"),
+                  place_pattern(single_impurity(1.7, n), n, "periodic"),
+                  place_pattern(alternating_block(0.5, n // 2 - 2, 3), n, "periodic")]
+    for spec in specs:
+        n = spec.n_sites
+        state = ground_state_fock(spec, half_filling(spec))
+        for length in range(1, n + 1):
+            s, f = measure(spec, length)
+            if length == n:
+                s_fock = f_fock = 0.0
+            else:
+                shorter = Region(1, length) if 2 * length <= n else Region(length + 1, n - length)
+                s_fock = fock_entropy(reduced_density_matrix(state, shorter))
+                f_fock = fock_fluctuation(state, shorter)
+            assert s == pytest.approx(s_fock, abs=1e-12)
+            assert f == pytest.approx(f_fock, abs=1e-12)
 
 
 def test_away_from_half_filling():

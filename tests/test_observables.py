@@ -8,6 +8,7 @@ from paritylab.observables import (Region, charge_fluctuation,
                                    entanglement_entropy, occupation_spectrum,
                                    region_observables, restrict)
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
+from paritylab.sweeps import measure
 
 
 def _ground_state_g(spec):
@@ -59,6 +60,9 @@ def test_occupation_spectrum_bounds():
         occupation_spectrum(np.diag([0.5, 1.5]))
     with pytest.raises(ValueError):
         occupation_spectrum(np.diag([-0.2, 0.5]))
+    # a NaN correlation gives NaN occupations, which no comparison fails
+    with pytest.raises(ValueError, match="outside"):
+        occupation_spectrum(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
 
 def _charge_fluctuation_direct(g_a):
@@ -87,8 +91,10 @@ def test_full_chain_region_is_sharp():
     # the whole chain holds exactly n/2 particles: no fluctuations, no entropy
     g = _ground_state_g(homogeneous(8))
     obs = region_observables(g, Region(1, 8))
-    assert abs(obs.entropy) < 1e-10
-    assert abs(obs.fluctuation) < 1e-12
+    assert abs(obs.entropy) < 1e-13
+    assert abs(obs.fluctuation) < 1e-13
+    # the half-filled route's occupations are exactly 0 and 1 there
+    assert measure(homogeneous(1000), 1000) == (0.0, 0.0)
 
 
 def test_complement_entropy_equal():

@@ -100,9 +100,20 @@ def _random_rings(rng):
     return rings
 
 
+def _refused_ring(spec):
+    """A ring with no mirror axis through two bonds, which `half_filled_block`
+    refuses: assert that it does."""
+    axis = mirror_axis(spec.bond_ratios())
+    if spec.boundary == "open" or (axis is not None and axis % 2):
+        return False
+    with pytest.raises(ValueError, match="no mirror axis through two bonds"):
+        measure(spec, 1)
+    return True
+
+
 def _check_against_dense(spec, rng):
     n = spec.n_sites
-    if n % 2:
+    if n % 2 or _refused_ring(spec):
         return
     energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
     filled = orbitals[:, :half_filling(spec)]
@@ -187,7 +198,9 @@ def test_open_chain_route_matches_dense_oracle():
 def _check_every_region(spec):
     """S and F of every region [1, l], l = 1..L, against the dense
     correlation matrix and, for open chains up to L = 16, the whole-SVD
-    oracle."""
+    oracle; a ring with no mirror axis through two bonds is refused."""
+    if _refused_ring(spec):
+        return
     _, orbitals = np.linalg.eigh(build_hamiltonian(spec))
     filled = orbitals[:, :half_filling(spec)]
     g_dense = filled @ filled.T
@@ -357,15 +370,17 @@ def test_torn_route_failure_names_routine_and_chain_size(routine, monkeypatch):
 
 def test_torn_route_checks_merged_vector_norms(monkeypatch):
     real = spectral._dlasd6
+    for corrupt in (lambda z: z * (1.0 + 1e-9), lambda z: math.nan):
 
-    def dlasd6_drifts(*pointers):
-        real(*pointers)
-        # the twentieth argument points at the updated z
-        ctypes.c_double.from_address(pointers[19]).value *= 1.0 + 1e-9
+        def dlasd6_drifts(*pointers):
+            real(*pointers)
+            # the twentieth argument points at the updated z
+            z = ctypes.c_double.from_address(pointers[19])
+            z.value = corrupt(z.value)
 
-    monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
-    with pytest.raises(np.linalg.LinAlgError, match="14x14 chain.*norm is off 1"):
-        half_filled_block(homogeneous(14), 7)
+        monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
+        with pytest.raises(np.linalg.LinAlgError, match="14x14 chain.*norm is off 1"):
+            half_filled_block(homogeneous(14), 7)
 
 
 def test_torn_sector_matches_whole_sector():
@@ -394,16 +409,19 @@ def test_ring_merge_failure_names_routine_and_chain_size(routine, monkeypatch):
 
 def test_ring_merge_checks_secular_vector_norms(monkeypatch):
     real = spectral._dlaed9
+    for corrupt in (lambda s: s * (1.0 + 1e-9), lambda s: math.nan):
 
-    def dlaed9_drifts(*pointers):
-        real(*pointers)
-        # the first argument is K, the eleventh points at S, K x K column-major
-        k = pointers[0]._obj.value
-        np.ctypeslib.as_array((ctypes.c_double * k).from_address(pointers[10]))[:] *= 1.0 + 1e-9
+        def dlaed9_drifts(*pointers):
+            real(*pointers)
+            # the first argument is K, the eleventh points at S, K x K column-major
+            k = pointers[0]._obj.value
+            s = np.ctypeslib.as_array((ctypes.c_double * k).from_address(pointers[10]))
+            s[:] = corrupt(s)
 
-    monkeypatch.setattr(spectral, "_dlaed9", dlaed9_drifts)
-    with pytest.raises(np.linalg.LinAlgError, match="laed9 merge failed on 14x14 chain.*norm"):
-        half_filled_block(place_pattern(single_impurity(0.6, 3), 14, "periodic"), 3)
+        monkeypatch.setattr(spectral, "_dlaed9", dlaed9_drifts)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="laed9 merge failed on 14x14 chain.*norm"):
+            half_filled_block(place_pattern(single_impurity(0.6, 3), 14, "periodic"), 3)
 
 
 @pytest.mark.parametrize("spec, bond_axis", [
@@ -413,11 +431,15 @@ def test_ring_merge_checks_secular_vector_norms(monkeypatch):
     pytest.param(homogeneous(14, "periodic"), True, id="clean"),
     pytest.param(place_pattern(alternating_block(0.3, 4, 3), 14, "periodic"), True,
                  id="centred-3-block"),
+    # two opposite dots: an axis through two sites and one through two bonds
+    pytest.param(place_pattern(dot_impurity(0.4, 1) + dot_impurity(0.4, 8), 14, "periodic"),
+                 True, id="two-dots"),
     pytest.param(place_pattern(dot_impurity(0.4, 6), 14, "periodic"), False, id="dot"),
     pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), False, id="no-axis"),
 ])
 def test_half_filled_ring_route(spec, bond_axis, monkeypatch):
-    # a bond-centred axis needs only the even mirror sector, never diagonalize
+    # a bond-centred axis needs only the even mirror sector, never
+    # diagonalize; a ring with none is refused
     axis = mirror_axis(spec.bond_ratios())
     assert (axis is not None and axis % 2 == 1) == bond_axis
     # G's odd-even block over all filled orbitals, both sectors
@@ -429,7 +451,8 @@ def test_half_filled_ring_route(spec, bond_axis, monkeypatch):
 
     monkeypatch.setattr(spectral, "diagonalize", no_diagonalize)
     if not bond_axis:
-        with pytest.raises(AssertionError, match="diagonalize reached"):
+        with pytest.raises(ValueError, match="ring of 14 sites has no mirror axis through "
+                                             "two bonds"):
             half_filled_block(spec, 6)
         return
     for ell, q_a in zip((1, 6, 7, 14), expected):
