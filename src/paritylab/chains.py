@@ -133,28 +133,3 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
         h[0, n - 1] += -t[n - 1]
     return h
 
-
-def parity_pair(spec: ChainSpec, region_len: int) -> tuple[ChainSpec, ChainSpec]:
-    """Even/odd partner chains for a defect anchored at the subsystem border.
-
-    The even member is the input chain itself with a subsystem of
-    ``region_len`` sites (region_len must be even and its border bond must
-    carry part of the defect).  The odd member shifts every modified bond
-    one site to the right, to be paired with a subsystem of region_len+1
-    sites: defect and cut move together, so the defect stays pinned at the
-    border while the subsystem parity flips.
-
-    Returns
-    -------
-    (ChainSpec, ChainSpec)
-        Even-parity and odd-parity chains; subsystem lengths are
-        region_len and region_len+1 respectively.
-    """
-    if region_len % 2 != 0:
-        raise ValueError(f"region_len must be even, got {region_len}")
-    bonds = {b for b, _ in spec.modified_bonds}
-    if region_len not in bonds:
-        raise ValueError(f"no modified bond at the region border {region_len}")
-    shifted = tuple((b + 1, r) for b, r in spec.modified_bonds)
-    odd = dataclasses.replace(spec, modified_bonds=shifted)
-    return spec, odd

@@ -223,12 +223,7 @@ def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 
 def extrapolate_inverse(n_sites: Sequence[int], values: Sequence[float]) -> float:
     """Infinite-size limit a of a sequence, fitting a + b/L."""
-    n = np.asarray(n_sites, dtype=float)
-    if n.size < 2:
-        raise ValueError(f"need at least 2 sizes, got {n.size}")
-    design = np.column_stack([np.ones_like(n), 1.0 / n])
-    coef, _ = _solve(design, np.asarray(values, dtype=float))
-    return float(coef[0])
+    return fit_line(1.0 / np.asarray(n_sites, dtype=float), values)[0]
 
 
 def power_law_exponent(x: Sequence[float], y: Sequence[float]) -> float:

@@ -60,29 +60,9 @@ class RegionObservables:
     fluctuation: float
 
 
-def restrict(g: np.ndarray, region: Region) -> np.ndarray:
-    """Correlation matrix restricted to a contiguous region."""
-    n = g.shape[0]
-    if region.last > n:
-        raise ValueError(f"region ends at site {region.last} but chain has {n}")
-    s = region.slice()
-    return g[s, s]
-
-
-def occupation_spectrum(g_a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a restricted correlation matrix, validated and clipped.
-
-    Returns
-    -------
-    ndarray
-        Ascending occupations, clipped to [0, 1].
-    """
-    return _checked(np.linalg.eigvalsh(g_a))
-
-
 def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
     """Occupations of a half-filled bipartite region from its sublattice
-    block, validated and clipped like `occupation_spectrum`.
+    block, validated and clipped like those of `region_observables`.
 
     In sublattice order G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]], whose
     eigenvalues are 1/2 (1 -+ sigma_i) over the singular values sigma_i of
@@ -121,20 +101,23 @@ def charge_fluctuation(occupations: np.ndarray) -> float:
 
 
 def region_observables(g: np.ndarray, region: Region) -> RegionObservables:
-    """Entropy and number fluctuation of a contiguous region.
+    """Entropy and number fluctuation of a contiguous region, from the
+    eigenvalues of its block G_A of the full-chain correlation matrix g.
 
-    Parameters
-    ----------
-    g : ndarray
-        Full-chain correlation matrix.
-    region : Region
-
-    Returns
-    -------
-    RegionObservables
+    Raises
+    ------
+    ValueError
+        If the region ends past the chain, G_A is not finite, or an
+        occupation leaves [0, 1] by more than OCCUPATION_ATOL.
     """
-    g_a = restrict(g, region)
-    nu = occupation_spectrum(g_a)
+    n = g.shape[0]
+    if region.last > n:
+        raise ValueError(f"region ends at site {region.last} but chain has {n}")
+    g_a = g[region.slice(), region.slice()]
+    # eigvalsh maps some NaN matrices to finite eigenvalues
+    if not np.isfinite(g_a).all():
+        raise ValueError(f"correlation block of {region} is not finite")
+    nu = _checked(np.linalg.eigvalsh(g_a))
     return RegionObservables(
         entropy=entanglement_entropy(nu),
         fluctuation=charge_fluctuation(nu),

@@ -54,7 +54,6 @@ orbital, for any filling, by the dense solver: the reference for them all.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 
 import numpy as np
 import scipy
@@ -124,30 +123,15 @@ class DegenerateFermiLevelError(ValueError):
     """Requested filling would cut through a degenerate single-particle level."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SpectralData:
-    """Eigenpairs of one chain Hamiltonian.
-
-    Attributes
-    ----------
-    energies : ndarray, shape (n,)
-        Eigenvalues in ascending order.
-    orbitals : ndarray, shape (n, n)
-        Orthonormal eigenvectors, column k belonging to energies[k].
-    """
-
-    energies: np.ndarray
-    orbitals: np.ndarray
-
-
-def diagonalize(spec: ChainSpec) -> SpectralData:
+def diagonalize(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a chain's `build_hamiltonian` by ``numpy.linalg.eigh``:
     the reference for `half_filled_block` and `sublattice_singular_values`.
 
     Returns
     -------
-    SpectralData
-        Ascending eigenvalues and orthonormal orbitals.
+    (energies, orbitals)
+        Ascending eigenvalues, shape (n,), and orthonormal orbitals,
+        shape (n, n), column k belonging to energies[k].
 
     Raises
     ------
@@ -155,10 +139,9 @@ def diagonalize(spec: ChainSpec) -> SpectralData:
         If LAPACK fails; the message names the chain size.
     """
     try:
-        energies, orbitals = np.linalg.eigh(build_hamiltonian(spec))
+        return np.linalg.eigh(build_hamiltonian(spec))
     except np.linalg.LinAlgError as err:
         raise _solver_error("eigh", spec.n_sites, err) from err
-    return SpectralData(energies=energies, orbitals=orbitals)
 
 
 def sublattice_singular_values(spec: ChainSpec) -> np.ndarray:
@@ -214,7 +197,7 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
         through two bonds.
     DegenerateFermiLevelError
         If the Fermi gap, 2 sigma_min of B on open chains and 2 min |E| on
-        bond-axis rings, fails `occupy`'s rule.
+        bond-axis rings, is below DEGENERACY_RTOL times the bandwidth.
     numpy.linalg.LinAlgError
         If LAPACK fails, or a merged singular vector of an open chain or
         secular eigenvector of a ring misses unit norm by more than
@@ -682,46 +665,45 @@ def _mirror_orbits(ratios: np.ndarray, axis: int):
     return sites, mirror, on_axis_bond
 
 
-def occupy(spectral: SpectralData, n_particles: int) -> np.ndarray:
-    """Columns of the filled Fermi sea at fixed particle number.
-
-    Raises
-    ------
-    DegenerateFermiLevelError
-        If the gap between the highest filled and lowest empty level is
-        below DEGENERACY_RTOL times the spectral bandwidth, in which case
-        the filled sea is not unique.
-    """
-    energies = spectral.energies
-    n = energies.size
-    if not 0 <= n_particles <= n:
-        raise ValueError(f"n_particles must be in 0..{n}, got {n_particles}")
-    if 0 < n_particles < n:
-        _check_gap(energies[n_particles] - energies[n_particles - 1],
-                   energies[-1] - energies[0], n_particles, n)
-    return spectral.orbitals[:, :n_particles]
-
-
 def _check_gap(gap: float, bandwidth: float, n_particles: int, n: int) -> None:
-    if gap < DEGENERACY_RTOL * max(bandwidth, 1.0):
+    # written so that NaN fails too
+    if not (gap >= DEGENERACY_RTOL * max(bandwidth, 1.0)):
         raise DegenerateFermiLevelError(
             f"levels {n_particles - 1} and {n_particles} degenerate "
             f"(gap {gap:.3e}); filling {n_particles} of {n} is ambiguous"
         )
 
 
-def correlation_matrix(spectral: SpectralData, n_particles: int) -> np.ndarray:
-    """Ground-state two-point function G_ij = <c_i^dag c_j>.
+def correlation_matrix(eigenpairs: tuple[np.ndarray, np.ndarray],
+                       n_particles: int) -> np.ndarray:
+    """Ground-state two-point function G_ij = <c_i^dag c_j> from the
+    `diagonalize` eigenpairs of a chain.
 
     With real orthonormal orbitals phi_k this is the projector
-    G = sum_{k filled} phi_k phi_k^T onto the Fermi sea; G is symmetric
-    with eigenvalues 0 and 1.
+    G = sum_{k filled} phi_k phi_k^T onto the Fermi sea of the lowest
+    n_particles orbitals; G is symmetric with eigenvalues 0 and 1.
 
     Returns
     -------
     ndarray, shape (n, n)
+
+    Raises
+    ------
+    ValueError
+        If n_particles lies outside 0..n.
+    DegenerateFermiLevelError
+        If the gap between the highest filled and lowest empty level is
+        below DEGENERACY_RTOL times the spectral bandwidth, in which case
+        the filled sea is not unique.
     """
-    filled = occupy(spectral, n_particles)
+    energies, orbitals = eigenpairs
+    n = energies.size
+    if not 0 <= n_particles <= n:
+        raise ValueError(f"n_particles must be in 0..{n}, got {n_particles}")
+    if 0 < n_particles < n:
+        _check_gap(energies[n_particles] - energies[n_particles - 1],
+                   energies[-1] - energies[0], n_particles, n)
+    filled = orbitals[:, :n_particles]
     return filled @ filled.T
 
 

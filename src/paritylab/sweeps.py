@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .chains import ChainSpec, alternating_block, dot_impurity, parity_pair, place_pattern
+from .chains import ChainSpec, alternating_block, dot_impurity, place_pattern
 from .fitting import ScalingSample
 from .observables import charge_fluctuation, entanglement_entropy, sublattice_occupations
 from .spectral import half_filled_block
@@ -50,6 +50,8 @@ def pair_specs(ratio: float, n_sites: int, region_len: int, boundary: str = "ope
     if not 0 < region_len < n_sites:
         raise ValueError(f"regions of {region_len} and {region_len + 1} sites "
                          f"do not fit on {n_sites} sites")
+    if region_len % 2 != 0:
+        raise ValueError(f"region_len must be even, got {region_len}")
     if boundary == "periodic" and n_sites % 4 != 2:
         raise ValueError(f"ring size must be 2 mod 4, got {n_sites}")
     if n_imp % 2 == 0:
@@ -57,8 +59,8 @@ def pair_specs(ratio: float, n_sites: int, region_len: int, boundary: str = "ope
     anchor = region_len - (n_imp - 1)
     if anchor < 1:
         raise ValueError(f"block of {n_imp} bonds does not fit left of {region_len}")
-    pattern = alternating_block(ratio, anchor, n_imp)
-    return parity_pair(place_pattern(pattern, n_sites, boundary), region_len)
+    return tuple(place_pattern(alternating_block(ratio, anchor + shift, n_imp), n_sites, boundary)
+                 for shift in (0, 1))
 
 
 def ladder_region(n_sites: int, aspect_den: int) -> int:

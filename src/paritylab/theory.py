@@ -163,9 +163,15 @@ def _entropy_slope_kernel(x: float) -> float:
 
 
 def _entropy_slope_kernel_tail(t: float) -> float:
-    # k(1/t) / t^2 = [ln(1+u)/2 + (ln(1+u) - u)/u] / u with u = t^2: no
-    # large terms left to cancel
+    # k(1/t) / t^2 = [ln(1+u)/2 + (ln(1+u) - u)/u] / u with u = t^2; below
+    # u = 1e-3, where ln(1+u) - u cancels, its series to j = 9 by Horner:
+    # sum_{j>=2} (-1)^j (j-1)/(2j(j+1)) u^(j-1) = u/12 - u^2/12 + 3u^3/40 - ...
     u = t * t
+    if u < 1e-3:
+        s = 0.0
+        for j in range(9, 1, -1):
+            s = s * u + (-1) ** j * (j - 1) / (2 * j * (j + 1))
+        return s * u
     log1p_u = math.log1p(u)
     return (0.5 * log1p_u + (log1p_u - u) / u) / u
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
-                              dot_impurity, homogeneous, parity_pair,
-                              place_pattern, single_impurity)
+                              dot_impurity, homogeneous, place_pattern,
+                              single_impurity)
 
 
 def test_spec_validation():
@@ -92,20 +92,3 @@ def test_homogeneous():
     spec = homogeneous(6)
     assert spec.modified_bonds == ()
     assert np.allclose(spec.bond_ratios(), 1.0)
-
-
-def test_parity_pair_shifts_all_bonds():
-    spec = place_pattern(alternating_block(0.4, 4, 2), 12)
-    even, odd = parity_pair(spec, 4)
-    assert even is spec
-    assert odd.modified_bonds == ((5, 0.4), (7, 0.4))
-    assert odd.n_sites == spec.n_sites
-
-
-def test_parity_pair_requires_border_defect():
-    spec = place_pattern(single_impurity(0.5, 4), 12)
-    parity_pair(spec, 4)
-    with pytest.raises(ValueError):
-        parity_pair(spec, 6)  # no modified bond at the region border
-    with pytest.raises(ValueError):
-        parity_pair(place_pattern(single_impurity(0.5, 5), 12), 5)  # odd region

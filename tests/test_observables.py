@@ -5,8 +5,7 @@ import pytest
 
 from paritylab.chains import ChainSpec, homogeneous
 from paritylab.observables import (Region, charge_fluctuation,
-                                   entanglement_entropy, occupation_spectrum,
-                                   region_observables, restrict)
+                                   entanglement_entropy, region_observables)
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
 from paritylab.sweeps import measure
 
@@ -23,13 +22,6 @@ def test_region_validation():
         Region(0, 4)
     with pytest.raises(ValueError):
         Region(3, 0)
-
-
-def test_restrict_shape():
-    g = _ground_state_g(homogeneous(8))
-    g_a = restrict(g, Region(2, 3))
-    assert g_a.shape == (3, 3)
-    assert np.array_equal(g_a, g[1:4, 1:4])
 
 
 def test_single_site_entropy_is_binary():
@@ -51,18 +43,22 @@ def test_entropy_formula_oracle():
     assert charge_fluctuation(np.array([0.5, 0.25])) == pytest.approx(0.25 + 0.1875)
 
 
-def test_occupation_spectrum_bounds():
+def test_region_observables_bounds():
     g = _ground_state_g(ChainSpec(10, "open", ((3, 0.4),)))
-    nu = occupation_spectrum(restrict(g, Region(1, 5)))
-    assert np.all(nu >= 0.0) and np.all(nu <= 1.0)
-    assert np.all(np.diff(nu) >= 0.0)
-    with pytest.raises(ValueError):
-        occupation_spectrum(np.diag([0.5, 1.5]))
-    with pytest.raises(ValueError):
-        occupation_spectrum(np.diag([-0.2, 0.5]))
-    # a NaN correlation gives NaN occupations, which no comparison fails
+    obs = region_observables(g, Region(1, 5))
+    assert 0.0 < obs.entropy <= 5 * math.log(2.0)
+    assert 0.0 < obs.fluctuation <= 5 / 4
+    with pytest.raises(ValueError, match="ends at site 11"):
+        region_observables(g, Region(6, 6))
     with pytest.raises(ValueError, match="outside"):
-        occupation_spectrum(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+        region_observables(np.diag([0.5, 1.5]), Region(1, 2))
+    with pytest.raises(ValueError, match="outside"):
+        region_observables(np.diag([-0.2, 0.5]), Region(1, 2))
+    # eigvalsh takes this NaN block to occupations [0, -0], a pure region
+    with pytest.raises(ValueError, match="not finite"):
+        region_observables(np.diag([0.5, np.nan]), Region(1, 2))
+    with pytest.raises(ValueError, match="not finite"):
+        region_observables(np.array([[0.5, np.nan], [np.nan, 0.5]]), Region(1, 2))
 
 
 def _charge_fluctuation_direct(g_a):
@@ -82,8 +78,9 @@ def test_fluctuation_dual_routes_agree():
         g = correlation_matrix(diagonalize(spec), npart)
         first = int(rng.integers(1, n))
         length = int(rng.integers(1, n - first + 2))
-        g_a = restrict(g, Region(first, length))
-        via_spectrum = charge_fluctuation(occupation_spectrum(g_a))
+        region = Region(first, length)
+        g_a = g[region.slice(), region.slice()]
+        via_spectrum = region_observables(g, region).fluctuation
         assert _charge_fluctuation_direct(g_a) == pytest.approx(via_spectrum, abs=1e-12)
 
 

@@ -15,28 +15,28 @@ from paritylab.observables import (Region, charge_fluctuation, entanglement_entr
                                    region_observables, sublattice_occupations)
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
-                                mirror_axis, occupy, sublattice_singular_values)
+                                mirror_axis, sublattice_singular_values)
 from paritylab.sweeps import measure
 
 
 def test_open_chain_spectrum_analytic():
     # standing waves: E_k = -2 J cos(pi k / (n+1))
     n = 9
-    data = diagonalize(homogeneous(n))
+    energies, _ = diagonalize(homogeneous(n))
     expected = sorted(-2.0 * math.cos(math.pi * k / (n + 1)) for k in range(1, n + 1))
-    assert np.allclose(data.energies, expected, atol=1e-12)
+    assert np.allclose(energies, expected, atol=1e-12)
 
 
 def test_ring_spectrum_analytic():
     for n in (3, 12):
-        data = diagonalize(homogeneous(n, "periodic"))
+        energies, _ = diagonalize(homogeneous(n, "periodic"))
         expected = sorted(-2.0 * math.cos(2.0 * math.pi * m / n) for m in range(n))
-        assert np.allclose(data.energies, expected, atol=1e-12)
+        assert np.allclose(energies, expected, atol=1e-12)
 
 
 def test_orbitals_orthonormal():
-    data = diagonalize(ChainSpec(10, "open", ((3, 0.5), (7, 1.7))))
-    overlap = data.orbitals.T @ data.orbitals
+    _, orbitals = diagonalize(ChainSpec(10, "open", ((3, 0.5), (7, 1.7))))
+    overlap = orbitals.T @ orbitals
     assert np.allclose(overlap, np.eye(10), atol=1e-12)
 
 
@@ -48,22 +48,25 @@ def test_correlation_matrix_is_projector():
     assert np.allclose(g @ g, g, atol=1e-12)
 
 
-def test_occupy_rejects_degenerate_fermi_level():
+def test_correlation_matrix_rejects_degenerate_fermi_level():
     # clean 8-ring: doubly degenerate zero level right at half filling
-    data = diagonalize(homogeneous(8, "periodic"))
+    eigenpairs = diagonalize(homogeneous(8, "periodic"))
     with pytest.raises(DegenerateFermiLevelError):
-        occupy(data, 4)
-    occupy(data, 3)
+        correlation_matrix(eigenpairs, 4)
+    correlation_matrix(eigenpairs, 3)
+    # a NaN gap is no gap
+    with pytest.raises(DegenerateFermiLevelError):
+        spectral._check_gap(float("nan"), 1.0, 1, 2)
 
 
-def test_occupy_rejects_degenerate_fermi_level_on_open_chain():
+def test_correlation_matrix_rejects_degenerate_fermi_level_on_open_chain():
     # a vanishing middle bond leaves two identical 5-site halves whose
     # zero modes are degenerate at half filling
     spec = ChainSpec(10, "open", ((5, 1e-15),))
-    data = diagonalize(spec)
+    eigenpairs = diagonalize(spec)
     with pytest.raises(DegenerateFermiLevelError):
-        occupy(data, 5)
-    occupy(data, 4)
+        correlation_matrix(eigenpairs, 5)
+    correlation_matrix(eigenpairs, 4)
     with pytest.raises(DegenerateFermiLevelError):
         measure(spec, 4)
 
@@ -443,8 +446,8 @@ def test_half_filled_ring_route(spec, bond_axis, monkeypatch):
     axis = mirror_axis(spec.bond_ratios())
     assert (axis is not None and axis % 2 == 1) == bond_axis
     # G's odd-even block over all filled orbitals, both sectors
-    filled = occupy(diagonalize(spec), 7)
-    expected = [-2.0 * filled[:ell:2] @ filled[1:ell:2].T for ell in (1, 6, 7, 14)]
+    g = correlation_matrix(diagonalize(spec), 7)
+    expected = [-2.0 * g[:ell:2, 1:ell:2] for ell in (1, 6, 7, 14)]
 
     def no_diagonalize(spec):
         raise AssertionError("diagonalize reached")
@@ -469,13 +472,14 @@ def test_half_filled_ring_rejects_degenerate_fermi_level(n, monkeypatch):
         half_filled_block(homogeneous(n, "periodic"), 2)
 
 
-def test_occupy_bounds():
-    data = diagonalize(homogeneous(6))
-    assert occupy(data, 0).shape == (6, 0)
+def test_correlation_matrix_bounds():
+    eigenpairs = diagonalize(homogeneous(6))
+    assert not correlation_matrix(eigenpairs, 0).any()
+    assert np.allclose(correlation_matrix(eigenpairs, 6), np.eye(6), atol=1e-13)
     with pytest.raises(ValueError):
-        occupy(data, -1)
+        correlation_matrix(eigenpairs, -1)
     with pytest.raises(ValueError):
-        occupy(data, 7)
+        correlation_matrix(eigenpairs, 7)
 
 
 def test_half_filling():

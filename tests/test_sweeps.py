@@ -26,6 +26,8 @@ def test_pair_specs_layouts():
         pair_specs(0.5, 40, 12, n_imp=2)
     with pytest.raises(ValueError, match="does not fit"):
         pair_specs(0.5, 40, 4, n_imp=5)
+    with pytest.raises(ValueError, match="must be even"):
+        pair_specs(0.5, 40, 13)
     # rings of 0 mod 4 sites have a degenerate Fermi level
     assert pair_specs(0.5, 42, 12, "periodic")[0].boundary == "periodic"
     with pytest.raises(ValueError, match="2 mod 4"):

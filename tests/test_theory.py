@@ -86,7 +86,7 @@ def test_tabulated_integrals():
 def test_entropy_slope_integral_anchors():
     # D(0) = pi/6 and D(1/2) = 1/2 in closed form; D(1/3) from a 40-digit
     # mpmath quadrature of the same integral
-    assert entropy_slope_integral(0.0) == pytest.approx(math.pi / 6.0, abs=1e-12)
+    assert entropy_slope_integral(0.0) == pytest.approx(math.pi / 6.0, abs=1e-15)
     assert entropy_slope_integral(0.5) == pytest.approx(0.5, abs=1e-13)
     assert entropy_slope_integral(1.0 / 3.0) == pytest.approx(
         0.504325841235598615, abs=1e-13)
@@ -97,7 +97,7 @@ def test_entropy_slope_integral_anchors():
 
 
 def test_entropy_parity_slope_values():
-    assert entropy_parity_slope(0.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert entropy_parity_slope(0.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert entropy_parity_slope(0.5) == pytest.approx(2.0 / math.pi, abs=1e-12)
     # quoted reference values carry ~2e-4 of their own fit error
     assert entropy_parity_slope(0.5) == pytest.approx(0.636779, abs=1e-3)
