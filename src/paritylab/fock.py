@@ -12,14 +12,16 @@ grows combinatorially (3432 states at 14 sites, half filled).
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chains import ChainSpec, build_hamiltonian
 from .observables import Region
 from .spectral import DegenerateFermiLevelError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MAX_SITES = 14
 _GAP_ATOL = 1e-10
@@ -68,6 +70,10 @@ def sector_hamiltonian(spec: ChainSpec, basis: np.ndarray) -> sparse.csr_matrix:
     (-1)^(occupied modes strictly between a and b).  Target states are
     found by binary search in the sorted basis.
     """
+    # scipy.sparse loads scipy.linalg, ~0.2 s that importing paritylab
+    # need not pay: only the Fock oracle builds sparse matrices
+    from scipy import sparse
+
     h1 = build_hamiltonian(spec)
     occ = _occupations(basis, spec.n_sites)
     # prefix[:, k] counts occupied modes 0..k-1
@@ -89,6 +95,8 @@ def sector_hamiltonian(spec: ChainSpec, basis: np.ndarray) -> sparse.csr_matrix:
 
 def _lowest_pair(h: sparse.csr_matrix, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     # two lowest eigenpairs in ascending order, residual-checked
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     dim = h.shape[0]
     if dim <= 2:
         # ARPACK needs more states than requested eigenpairs

@@ -13,9 +13,10 @@ values give the same occupations at half the matrix size; every sweep
 takes this route, `sublattice_occupations`.  `region_observables` is the
 general route, for any region at any filling, and the reference for it.
 
-Occupations are clipped to [0, 1], where ``xlogy`` is exact and a pure
-mode adds nothing; values outside [0, 1] beyond numerical noise, or NaN,
-indicate a broken correlation matrix and raise instead of being clipped.
+Occupations are clipped to [0, 1], and a pure mode, at exactly 0 or 1,
+adds nothing: the entropy takes the logarithms of the other modes alone.
+Values outside [0, 1] beyond numerical noise, or NaN, indicate a broken
+correlation matrix and raise instead of being clipped.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import xlogy
 
 # Occupations may leave [0, 1] by at most this much before we call the
 # correlation matrix broken.
@@ -89,9 +89,14 @@ def _checked(nu: np.ndarray) -> np.ndarray:
 
 
 def entanglement_entropy(occupations: np.ndarray) -> float:
-    """Von Neumann entropy of a free-fermion region from its mode occupations."""
+    """Von Neumann entropy of a free-fermion region from its mode occupations.
+
+    A mode at exactly 0 or 1 adds exactly 0; any other value outside
+    [0, 1], or NaN, makes the entropy NaN.
+    """
     nu = np.asarray(occupations)
-    return float(-np.sum(xlogy(nu, nu) + xlogy(1.0 - nu, 1.0 - nu)))
+    mixed = nu[(nu != 0.0) & (nu != 1.0)]
+    return float(-np.sum(mixed * np.log(mixed) + (1.0 - mixed) * np.log(1.0 - mixed)))
 
 
 def charge_fluctuation(occupations: np.ndarray) -> float:

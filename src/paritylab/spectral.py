@@ -54,10 +54,13 @@ orbital, for any filling, by the dense solver: the reference for them all.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import scipy
-from scipy.linalg import cython_lapack
 
 from .chains import ChainSpec, build_hamiltonian
 
@@ -65,10 +68,46 @@ from .chains import ChainSpec, build_hamiltonian
 DEGENERACY_RTOL = 1e-12
 
 
+def _load_cython_lapack():
+    """scipy.linalg.cython_lapack without the rest of scipy.linalg.
+
+    Importing scipy.linalg costs ~0.2 s, more than most `lab` runs spend
+    solving, and only this extension's function capsules are needed here.
+    It is loaded straight from its file in scipy's linalg directory; if no
+    file there matches this interpreter's extension suffixes, it comes from
+    the package import.  A module already imported is reused.
+
+    Loading it registers it in sys.modules under its full name, where a
+    later ``import scipy.linalg.cython_lapack`` would find it and so never
+    set it as an attribute of scipy.linalg.  The entry is dropped again:
+    that later import then finds the file itself, and Cython hands it this
+    same module object.
+    """
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "cython_lapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    from scipy.linalg import cython_lapack
+
+    return cython_lapack
+
+
+cython_lapack = _load_cython_lapack()
+
+
 def _lapack_symbol(name: str, n_args: int):
     """A LAPACK routine, called through the pointer
-    scipy.linalg.cython_lapack exports for it; every routine here is
-    reached this way, whether or not scipy.linalg.lapack also wraps it.
+    scipy.linalg.cython_lapack exports for it (`_load_cython_lapack`);
+    every routine here is reached this way, whether or not
+    scipy.linalg.lapack also wraps it.
 
     The capsule is looked up under its own name, the C signature, which
     differs between scipy versions.  Every LAPACK argument is a pointer.
@@ -510,9 +549,12 @@ def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: n
     dropped, then sorted), and ``dlaed9`` solves the secular equation for
     the K remaining roots and their eigenvectors S, z recomputed from the
     roots so that S is orthogonal (Gu & Eisenstat, SIAM J. Matrix Anal.
-    Appl. 16, 172, 1995).  The plain torn bond keeps K >= 1: dlaed8 scales
-    v to unit norm and rho to 2, and rho |z|max >= 2 / sqrt(n) is far above
-    its deflation tolerance.  T's eigenvectors are X diag(S, I) with X =
+    Appl. 16, 172, 1995).  dlaed8 scales v to unit norm and rho to 2, so
+    rho |z|max >= 2 / sqrt(n) stays above its deflation tolerance,
+    8 eps max(|d|max, |z|max), and K >= 1, unless a bond of ratio above
+    ~1e15 in T_1 makes |d|max that large.  Then K may be 0, every column
+    is an eigenvector already, and dlaed9, which refuses K = 0, is not
+    called.  T's eigenvectors are X diag(S, I) with X =
     diag(Q_1, Q_2) G P, G the rotations and P the order ``dlaed8`` reports.
     On rows below m only Q_1 enters X, and only the p columns of X's first
     K where those rows are nonzero meet S, so the result is
@@ -544,8 +586,9 @@ def _torn_sector(diagonal: np.ndarray, off_diagonal: np.ndarray, m: int, rows: n
             np.empty(n, dtype=np.intc))
     k = int(k[0])
     secular = np.empty((k, k), order="F")
-    _lapack(_dlaed9, "laed9", n_sites, k, 1, k, n, d, np.empty(k * k), k, rho, dlamda,
-            w, secular, k)
+    if k:
+        _lapack(_dlaed9, "laed9", n_sites, k, 1, k, n, d, np.empty(k * k), k, rho, dlamda,
+                w, secular, k)
     # column norms without a K x K temporary
     _check_unit_norm(np.sqrt(np.einsum("ij,ij->j", secular, secular)), n_sites, "laed9")
     # X on the region's rows, rotated as dlaed8 rotated its columns (GIVCOL

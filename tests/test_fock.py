@@ -3,9 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-import paritylab.fock as fock
 from paritylab.chains import (alternating_block, build_hamiltonian, dot_impurity,
                               homogeneous, place_pattern, single_impurity)
 from paritylab.fock import (MAX_SITES, fock_entropy, fock_fluctuation,
@@ -266,7 +266,7 @@ def test_solver_failures_name_the_chain(monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
                                   np.empty((0, 0)))
 
-    monkeypatch.setattr(fock, "eigsh", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(np.linalg.LinAlgError, match="10x10 chain"):
         ground_state_fock(spec, 5)
 
@@ -275,7 +275,7 @@ def test_solver_failures_name_the_chain(monkeypatch):
         vectors[0, :2] += 1e-6
         return energies[:2], vectors[:, :2]
 
-    monkeypatch.setattr(fock, "eigsh", inexact)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", inexact)
     with pytest.raises(np.linalg.LinAlgError, match="residual .* 10x10 chain"):
         ground_state_fock(spec, 5)
 

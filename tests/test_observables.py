@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from paritylab.chains import ChainSpec, homogeneous
-from paritylab.observables import (Region, charge_fluctuation,
-                                   entanglement_entropy, region_observables)
+from paritylab.observables import (Region, charge_fluctuation, entanglement_entropy,
+                                   region_observables, sublattice_occupations)
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
 from paritylab.sweeps import measure
 
@@ -38,9 +38,26 @@ def test_single_site_entropy_is_binary():
 def test_entropy_formula_oracle():
     assert entanglement_entropy(np.array([0.5])) == pytest.approx(math.log(2.0))
     assert entanglement_entropy(np.array([0.5, 0.5])) == pytest.approx(2 * math.log(2.0))
-    # exact 0/1 occupations carry no entropy
+    # exact 0/1 occupations carry no entropy, alone or beside a mixed mode
     assert entanglement_entropy(np.array([0.0, 1.0])) == 0.0
+    assert entanglement_entropy(np.array([0.0, 0.5, 1.0])) \
+        == entanglement_entropy(np.array([0.5]))
+    # anything else outside [0, 1] is no occupation
+    with np.errstate(invalid="ignore"):
+        for nu in ([0.5, np.nan], [1.5], [-0.25, 1.0]):
+            assert math.isnan(entanglement_entropy(np.array(nu)))
     assert charge_fluctuation(np.array([0.5, 0.25])) == pytest.approx(0.25 + 0.1875)
+
+
+def test_sublattice_occupations_refuse_a_broken_block():
+    # the occupations every sweep takes: NaN and values outside [0, 1]
+    # raise before any entropy is taken from them
+    assert list(sublattice_occupations(np.array([[1.0, 0.0], [0.0, 0.5]]))) \
+        == [0.0, 0.25, 0.75, 1.0]
+    for q_a in (np.array([[np.nan]]), np.array([[0.5, np.nan], [0.1, 0.2]]),
+                np.array([[1.5, 0.0]]), np.array([[1.0 + 1e-6]])):
+        with pytest.raises(ValueError):
+            sublattice_occupations(q_a)
 
 
 def test_region_observables_bounds():

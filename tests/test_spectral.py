@@ -427,6 +427,28 @@ def test_ring_merge_checks_secular_vector_norms(monkeypatch):
             half_filled_block(place_pattern(single_impurity(0.6, 3), 14, "periodic"), 3)
 
 
+def test_ring_merge_with_every_root_deflated(monkeypatch, capfd):
+    # a bond of ratio 1e16 at the region's border lies in the region's block
+    # of the torn sector, where |d|max ~ 1e16 lifts dlaed8's deflation
+    # tolerance past every component: K = 0, no dlaed9, and the degenerate
+    # Fermi level the dense route finds too
+    spec = ChainSpec(202, "periodic", ((20, 1e16),))
+    real, ks = spectral._dlaed8, []
+
+    def dlaed8_counts(*pointers):
+        real(*pointers)
+        # the second argument points at K
+        ks.append(ctypes.c_int.from_address(pointers[1]).value)
+
+    monkeypatch.setattr(spectral, "_dlaed8", dlaed8_counts)
+    with pytest.raises(DegenerateFermiLevelError):
+        half_filled_block(spec, 20)
+    assert ks == [0]
+    with pytest.raises(DegenerateFermiLevelError):
+        correlation_matrix(diagonalize(spec), half_filling(spec))
+    assert "DLAED9" not in "".join(capfd.readouterr())
+
+
 @pytest.mark.parametrize("spec, bond_axis", [
     pytest.param(place_pattern(single_impurity(0.6, 4), 14, "periodic"), True, id="single"),
     pytest.param(place_pattern(single_impurity(2.5, 14), 14, "periodic"), True,

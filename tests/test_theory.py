@@ -16,6 +16,7 @@ from paritylab.theory import (ENTROPY_PLATEAU, FLUCT_PLATEAU,
                               tabulated_entropy_integral,
                               tabulated_fluct_integral,
                               transmission_coefficient)
+from paritylab.theory import _entropy_slope_kernel_tail
 
 
 def test_dilog_special_values():
@@ -94,6 +95,17 @@ def test_entropy_slope_integral_anchors():
         entropy_slope_integral(0.6)
     with pytest.raises(ValueError):
         entropy_slope_integral(-0.01)
+
+
+@pytest.mark.parametrize("t, exact", [
+    # k(1/t) / t^2 at the double nearest each t, from 80-digit mpmath
+    (0.0317, 8.365675904504466268406430e-05),
+    (0.05, 2.078136692766331790116830e-04),
+    (0.1, 8.250743392326246550362207e-04),
+    (0.3, 6.875626160455221347863502e-03),
+])
+def test_entropy_slope_kernel_tail_to_full_precision(t, exact):
+    assert _entropy_slope_kernel_tail(t) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_entropy_parity_slope_values():
