@@ -152,11 +152,12 @@ def ground_state_fock(spec: ChainSpec, n_particles: int) -> FockGroundState:
                            basis, vectors[:, 0])
 
 
-def reduced_density_matrix(state: FockGroundState, region: Region) -> np.ndarray:
-    """Trace the ground state down to a contiguous region.
+def amplitude_matrix(state: FockGroundState, region: Region) -> np.ndarray:
+    """The ground state split at a contiguous region's borders.
 
     Amplitudes are arranged into a (region configurations) x (rest
-    configurations) matrix M, and rho_A = M M^T.
+    configurations) matrix M, so that rho_A = M M^T and the squared
+    singular values of M are the eigenvalues of rho_A.
     """
     _check_region(state, region)
     region_mask = ((1 << region.length) - 1) << (region.first - 1)
@@ -167,15 +168,26 @@ def reduced_density_matrix(state: FockGroundState, region: Region) -> np.ndarray
     # no fermion sign: (-1)^(n_left n_region) is fixed by the column at fixed N
     m = np.zeros((region_bits.size, rest_bits.size))
     m[r_index, c_index] = state.amplitudes
-    return m @ m.T
+    return m
 
 
-def fock_entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy of a density matrix, tolerant to 1e-12 negatives."""
-    p = np.linalg.eigvalsh(rho)
-    if p.min() < -1e-10:
-        raise ValueError(f"density matrix has negative weight {p.min():.3e}")
-    p = p[p > 1e-16]
+def fock_entropy(m: np.ndarray) -> float:
+    """Von Neumann entropy -sum p ln p of the Schmidt weights p = sigma^2,
+    the squared singular values of an `amplitude_matrix`.
+
+    Never forms rho_A = M M^T, which reaches C(n, n/2) rows for a region
+    of n - 1 of n sites; the smaller side of M is at most 2^(n/2).
+
+    Raises
+    ------
+    ValueError
+        If the weights do not sum to 1 within 1e-10.
+    """
+    p = np.linalg.svd(m, compute_uv=False) ** 2
+    total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"Schmidt weights sum to {total:.12g}, not 1")
+    p = p[p > 0.0]
     return float(-np.sum(p * np.log(p)))
 
 
@@ -192,5 +204,4 @@ def fock_region_observables(spec: ChainSpec, n_particles: int,
                             region: Region) -> tuple[float, float]:
     """Entropy and number fluctuation of a region by brute force."""
     state = ground_state_fock(spec, n_particles)
-    rho = reduced_density_matrix(state, region)
-    return fock_entropy(rho), fock_fluctuation(state, region)
+    return fock_entropy(amplitude_matrix(state, region)), fock_fluctuation(state, region)

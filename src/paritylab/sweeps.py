@@ -97,18 +97,27 @@ def pair_samples(ratio: float, n_sites: int, region_len: int, boundary: str = "o
     return out[0], out[1]
 
 
+# Most geometric steps a ladder may take from lo to hi: a factor a few ulps
+# above 1 would otherwise loop ~1e16 times before the first size check
+_MAX_LADDER_STEPS = 100_000
+
+
 def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
                 factor: float = 1.15) -> list[int]:
     """Geometric ladder of sizes rounded onto step * k + offset.
 
     Rounds each rung to the congruence class, deduplicates and keeps the
-    result inside [lo, hi]."""
+    result inside [lo, hi].  ``ValueError`` on a bad range, step or factor,
+    and on a factor so near 1 that the ladder would take over 100000 steps."""
     if lo < 2 or hi < lo:
         raise ValueError(f"bad ladder range [{lo}, {hi}]")
     if not 1.0 < factor < math.inf:
         raise ValueError(f"ladder factor must be finite and exceed 1, got {factor}")
     if step < 1:
         raise ValueError(f"ladder step must be at least 1, got {step}")
+    if math.log(hi) - math.log(lo) > _MAX_LADDER_STEPS * math.log(factor):
+        raise ValueError(f"ladder factor {factor!r} takes over {_MAX_LADDER_STEPS} steps "
+                         f"from {lo} to {hi}")
     out = []
     x = float(lo)
     while x <= hi * (1.0 + 1e-9):

@@ -3,6 +3,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import paritylab.cli as cli
 from paritylab import scattering, sweeps
@@ -280,6 +282,60 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", cfg]) == 2, output
         assert "output" in capsys.readouterr().err, output
     assert not list(tmp_path.glob("*.csv"))
+
+
+# JSON values a config key may be given: in-range and huge integers,
+# ordinary and non-finite numbers, names and other strings, nested lists
+# and size-ladder objects
+_JSON_NUMBERS = st.one_of(st.integers(1, 64), st.integers(-10, 2000), st.integers(),
+                          st.sampled_from([10**30, -10**30, 2**63, 10**400]),
+                          st.floats(0.05, 3.0), st.floats(),
+                          st.sampled_from([math.nan, math.inf, -math.inf]))
+_JSON_NAMES = st.sampled_from(("open", "periodic", "both", "entropy", "fluctuation", "out.csv"))
+_JSON_LEAVES = st.one_of(_JSON_NUMBERS, st.booleans(), st.none(), st.text(max_size=6),
+                         _JSON_NAMES)
+_LADDERS = st.dictionaries(st.sampled_from(["lo", "hi", "step", "offset", "factor"]),
+                           _JSON_NUMBERS, max_size=5)
+_JSON_VALUES = st.recursive(_JSON_LEAVES | _LADDERS, lambda inner: st.lists(inner, max_size=4),
+                            max_leaves=8)
+
+
+def _json_like(default):
+    # a value of the default's JSON type half the time, any JSON value else
+    typed = {list: st.lists(_JSON_NUMBERS, max_size=5), dict: _LADDERS,
+             str: _JSON_NAMES}.get(type(default), _JSON_NUMBERS)
+    return typed | _JSON_VALUES
+
+
+@st.composite
+def _drawn_configs(draw):
+    # a scenario's defaults with up to three keys other than the scenario replaced
+    config = dict(cli.DEFAULTS[draw(st.sampled_from(cli.SCENARIOS))])
+    keys = draw(st.lists(st.sampled_from(sorted(set(config) - {"scenario"})),
+                         max_size=3, unique=True))
+    config.update((key, draw(_json_like(config[key]))) for key in keys)
+    return config
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_drawn_configs())
+@example(config={**cli.DEFAULTS["impurity-sweep"],
+                 "sizes": {"lo": 100, "hi": 10_000, "step": 2, "factor": 1.0000000000000002}})
+def test_planners_are_total(monkeypatch, config):
+    # every drawn config plans or raises ConfigError, and nothing is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a planner reached a solve")
+
+    monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
+    monkeypatch.setattr(scattering, "sublattice_singular_values", no_solve)
+    path = _write_config("drawn.json", **config)
+    try:
+        parsed = cli._load_config(path)
+        header, jobs, rows = cli._PLANNERS[parsed["scenario"]](parsed)
+    except cli.ConfigError:
+        return
+    assert header and jobs
 
 
 def test_impurity_sweep_is_deterministic(tmp_path, capsys):

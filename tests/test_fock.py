@@ -8,9 +8,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from paritylab.chains import (alternating_block, build_hamiltonian, dot_impurity,
                               homogeneous, place_pattern, single_impurity)
-from paritylab.fock import (MAX_SITES, fock_entropy, fock_fluctuation,
+from paritylab.fock import (MAX_SITES, amplitude_matrix, fock_entropy, fock_fluctuation,
                             fock_region_observables, ground_state_fock,
-                            reduced_density_matrix, sector_hamiltonian)
+                            sector_hamiltonian)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filling, mirror_axis)
@@ -119,13 +119,14 @@ def _signed_reduced_density_matrix(state, region):
 def test_reduced_density_matrix_is_a_state():
     spec = place_pattern(single_impurity(0.7, 3), 8)
     state = ground_state_fock(spec, 4)
-    rho = reduced_density_matrix(state, Region(2, 4))
+    m = amplitude_matrix(state, Region(2, 4))
+    rho = m @ m.T
     assert rho.shape == (16, 16)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(rho, rho.T, atol=1e-14)
     assert np.linalg.eigvalsh(rho).min() > -1e-14
     with pytest.raises(ValueError):
-        reduced_density_matrix(state, Region(6, 4))
+        amplitude_matrix(state, Region(6, 4))
     with pytest.raises(ValueError):
         fock_fluctuation(state, Region(6, 4))
 
@@ -141,24 +142,30 @@ def test_reduced_density_matrix_is_a_state():
             state = ground_state_fock(spec, n_particles)
             for region in (Region(2, 3), Region(3, 4), Region(5, 3)):
                 ref, count = _signed_reduced_density_matrix(state, region)
-                assert np.array_equal(reduced_density_matrix(state, region), ref)
+                m = amplitude_matrix(state, region)
+                assert np.array_equal(m @ m.T, ref)
                 flipped += count
+                # the Schmidt weights against the spectrum of rho_A
+                p = np.linalg.eigvalsh(ref)
+                p = p[p > 1e-16]
+                assert fock_entropy(m) == pytest.approx(-np.sum(p * np.log(p)), abs=1e-13)
     assert flipped > 0
 
 
 def test_entropy_equals_complement_entropy():
     spec = place_pattern(dot_impurity(0.4, 4), 8)
     state = ground_state_fock(spec, 4)
-    s_left = fock_entropy(reduced_density_matrix(state, Region(1, 3)))
-    s_right = fock_entropy(reduced_density_matrix(state, Region(4, 5)))
+    s_left = fock_entropy(amplitude_matrix(state, Region(1, 3)))
+    s_right = fock_entropy(amplitude_matrix(state, Region(4, 5)))
     assert s_left == pytest.approx(s_right, abs=1e-12)
 
 
 def test_fock_entropy_rejects_unphysical_matrix():
+    # Schmidt weights 2.25 and 0.25
     bad = np.diag([1.5, -0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Schmidt weights"):
         fock_entropy(bad)
-    assert fock_entropy(np.diag([0.5, 0.5])) == pytest.approx(np.log(2.0))
+    assert fock_entropy(np.diag([0.5, 0.5]) ** 0.5) == pytest.approx(np.log(2.0))
     assert fock_entropy(np.diag([1.0, 0.0])) == 0.0
 
 
@@ -215,7 +222,7 @@ def test_matches_half_filled_route():
                 s_fock = f_fock = 0.0
             else:
                 shorter = Region(1, length) if 2 * length <= n else Region(length + 1, n - length)
-                s_fock = fock_entropy(reduced_density_matrix(state, shorter))
+                s_fock = fock_entropy(amplitude_matrix(state, shorter))
                 f_fock = fock_fluctuation(state, shorter)
             assert s == pytest.approx(s_fock, abs=1e-12)
             assert f == pytest.approx(f_fock, abs=1e-12)
@@ -227,8 +234,8 @@ def test_away_from_half_filling():
         state = ground_state_fock(spec, n_particles)
         g = correlation_matrix(diagonalize(spec), n_particles)
         obs = region_observables(g, Region(1, 3))
-        rho = reduced_density_matrix(state, Region(1, 3))
-        assert fock_entropy(rho) == pytest.approx(obs.entropy, abs=1e-10)
+        m = amplitude_matrix(state, Region(1, 3))
+        assert fock_entropy(m) == pytest.approx(obs.entropy, abs=1e-10)
         assert fock_fluctuation(state, Region(1, 3)) == pytest.approx(
             obs.fluctuation, abs=1e-10)
 
@@ -294,6 +301,6 @@ def test_full_and_empty_sectors_are_product_states():
     spec = place_pattern(single_impurity(0.5, 2), 6)
     for n_particles in (0, 6):
         state = ground_state_fock(spec, n_particles)
-        rho = reduced_density_matrix(state, Region(2, 3))
-        assert fock_entropy(rho) == pytest.approx(0.0, abs=1e-14)
+        m = amplitude_matrix(state, Region(2, 3))
+        assert fock_entropy(m) == pytest.approx(0.0, abs=1e-14)
         assert fock_fluctuation(state, Region(2, 3)) == pytest.approx(0.0, abs=1e-14)

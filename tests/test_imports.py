@@ -2,7 +2,9 @@
 
 No module imports scipy.linalg, scipy.special or scipy.sparse, which take
 ~0.3 s to load together; `spectral` loads scipy.linalg.cython_lapack from
-its extension file alone.
+its extension file alone.  The theory predictions and `lab theory-check`
+take their quadratures on numpy alone, and load none of the three nor
+scipy.integrate.
 """
 
 import json
@@ -42,6 +44,19 @@ def test_no_module_loads_scipy_linalg_special_or_sparse():
             importlib.import_module(f"paritylab.{module.name}")
         print(json.dumps([m for m in ("scipy.linalg", "scipy.special", "scipy.sparse")
                           if m in sys.modules]))
+    """)
+    assert loaded == []
+
+
+def test_theory_quadratures_load_no_scipy_subpackage():
+    loaded = _run("""
+        import json, sys
+        from paritylab import cli, theory
+        theory.entropy_parity_slope(0.5)
+        theory.fluct_parity_slope(1 / 3)
+        cli.theory_check_rows()
+        print(json.dumps([m for m in ("scipy.integrate", "scipy.linalg", "scipy.special",
+                                      "scipy.sparse") if m in sys.modules]))
     """)
     assert loaded == []
 

@@ -80,6 +80,9 @@ def test_size_ladder():
     for factor in (1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             size_ladder(100, 200, 10, factor=factor)
+    # one ulp above 1 would step ~1e16 times from 100 to 10000
+    with pytest.raises(ValueError, match="steps"):
+        size_ladder(100, 10_000, 2, factor=1.0000000000000002)
     with pytest.raises(ValueError):
         size_ladder(100, 200, 0)
 

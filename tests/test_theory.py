@@ -16,7 +16,12 @@ from paritylab.theory import (ENTROPY_PLATEAU, FLUCT_PLATEAU,
                               tabulated_entropy_integral,
                               tabulated_fluct_integral,
                               transmission_coefficient)
-from paritylab.theory import _entropy_slope_kernel_tail
+from paritylab.theory import _entropy_slope_kernel, _entropy_slope_kernel_tail, _quad
+
+# fluct_parity_slope at aspects 1/2 and 1/3 to 40 digits, from mpmath
+# (scripts/theory_literals.py)
+FLUCT_SLOPE_HALF = 0.2713772572204175925878392322310480486436
+FLUCT_SLOPE_THIRD = 0.2731469159816631960244423200947041056181
 
 
 def test_dilog_special_values():
@@ -106,6 +111,41 @@ def test_entropy_slope_integral_anchors():
 ])
 def test_entropy_slope_kernel_tail_to_full_precision(t, exact):
     assert _entropy_slope_kernel_tail(t) == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+def _quadpack_half_line(f, f_tail, sin2):
+    # theory._half_line's two pieces, each by QUADPACK on scalar calls
+    opts = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+    lo, _ = integrate.quad(lambda x: float(f(x)) / math.sqrt(1.0 + sin2 * x * x),
+                           0.0, 1.0, **opts)
+    tail, _ = integrate.quad(
+        lambda t: float(f_tail(t)) * (t / math.sqrt(t * t + sin2) if sin2 > 0 else 1.0),
+        0.0, 1.0, **opts)
+    return lo + tail
+
+
+@pytest.mark.parametrize("aspect", [0.0, 0.1, 0.25, 1.0 / 3.0, 0.5])
+def test_slope_integrals_match_quadpack(aspect):
+    sin2 = math.sin(math.pi * aspect) ** 2
+    entropy = _quadpack_half_line(_entropy_slope_kernel, _entropy_slope_kernel_tail, sin2)
+    fluct = _quadpack_half_line(lambda x: math.log1p(1.0 / (x * x)) ** 2,
+                                lambda t: math.log1p(t * t) ** 2 / (t * t), sin2)
+    assert entropy_slope_integral(aspect) == pytest.approx(entropy, rel=1e-14, abs=0)
+    assert fluct_parity_slope(aspect) == pytest.approx(fluct / math.pi**3, rel=1e-14, abs=0)
+
+
+def test_fluct_parity_slope_to_full_precision():
+    assert fluct_parity_slope(0.5) == pytest.approx(FLUCT_SLOPE_HALF, abs=1e-14)
+    assert fluct_parity_slope(1.0 / 3.0) == pytest.approx(FLUCT_SLOPE_THIRD, abs=1e-14)
+
+
+def test_quadrature_failures_name_the_integral():
+    with pytest.raises(ArithmeticError, match="holey integral"):
+        _quad("holey integral", lambda x: np.where(x < 0.5, np.nan, x), 1.0)
+    # int_0^1 dx/x diverges, so no two levels agree
+    with pytest.raises(ArithmeticError, match="divergent integral: .* differ"):
+        _quad("divergent integral", lambda x: 1.0 / x, 1.0)
+    assert _quad("x^2", lambda x: x * x, 2.0) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
 
 def test_entropy_parity_slope_values():
