@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
 from .sweeps import (aspect_region, boundary_sweep, dot_pair, dot_series, ladder_region,
-                     pair_specs, resolve_parallelism, size_ladder, splitting_table)
+                     pair_specs, size_ladder, splitting_table)
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
                      tabulated_entropy_integral, tabulated_fluct_integral)
@@ -181,6 +182,18 @@ def _sizes(value):
     return _list(_integer, merge=True)(value)
 
 
+def resolve_parallelism(parallelism: int) -> int:
+    """Worker count, overridable through the LAB_THREADS variable."""
+    env = os.environ.get("LAB_THREADS")
+    try:
+        parallelism = parallelism if env is None else int(env)
+    except ValueError as err:
+        raise ValueError(f"LAB_THREADS must be an integer, got {env!r}") from err
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    return parallelism
+
+
 def _positive(x) -> bool:
     return 0 < x < math.inf
 
@@ -260,17 +273,17 @@ def _check_pairs(sizes, build, route: str) -> None:
 
 # Planners: each takes a parsed config, checks what its scenario needs across
 # keys, builds every chain it will solve and returns (header, jobs, rows).
-# jobs holds (grid-point label, driver, args); rows(results) turns the
-# drivers' results, in job order, into CSV rows.  A planner raises only
-# ConfigError and never solves.
+# jobs holds (grid-point label, driver, args), one job per grid point: a
+# sweep's driver runs on a one-point grid.  rows(results) turns the drivers'
+# results, in job order, into CSV rows.  A planner raises only ConfigError
+# and never solves.
 
 def _plan_impurity_sweep(c):
     sizes, aspect_den, boundary = c["sizes"], c["aspect_den"], c["boundary"]
     _check_pairs(sizes, lambda n: pair_specs(1.0, n, ladder_region(n, aspect_den), boundary),
                  boundary)
-    span = f"sizes={sizes[0]}..{sizes[-1]}"
-    jobs = tuple((f"ratio={r:g} {span}", boundary_sweep,
-                  (r, sizes, aspect_den, boundary, c["parallelism"])) for r in c["ratios"])
+    jobs = tuple((f"ratio={r:g} n_sites={n}", boundary_sweep, (r, (n,), aspect_den, boundary))
+                 for r in c["ratios"] for n in sizes)
     return (["scenario", "ratio", "n_sites", "region_len", "parity",
              *_pick(c["kind"], ("entropy", "fluctuation"))], jobs,
             lambda sweeps: [("impurity-sweep", s.ratio, s.n_sites, s.region_len, s.parity)
@@ -279,24 +292,25 @@ def _plan_impurity_sweep(c):
 
 
 def _splitting_jobs(c, n_imps, aspect_num: int) -> tuple:
-    """splitting_table jobs, one per block of n_imp bonds, for fits over sizes."""
+    """splitting_table jobs, one per (n_imp, ratio, size), for fits over sizes."""
     ratios, sizes, aspect_den = c["ratios"], c["sizes"], c["aspect_den"]
     if len(sizes) < 2:
         raise ConfigError("need at least two distinct sizes to extrapolate")
     for n_imp in n_imps:
         _check_pairs(sizes, lambda n: pair_specs(
             1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp), "open")
-    return tuple((f"n_imp={n_imp} ratios={list(ratios)} sizes={list(sizes)}", splitting_table,
-                  (ratios, sizes, aspect_num, aspect_den, n_imp, c["parallelism"]))
-                 for n_imp in n_imps)
+    return tuple((f"n_imp={n_imp} ratio={r:g} n_sites={n}", splitting_table,
+                  ((r,), (n,), aspect_num, aspect_den, n_imp))
+                 for n_imp in n_imps for r in ratios for n in sizes)
 
 
 def _plan_ssh_collapse(c):
     ratios, sizes, n_imps = c["ratios"], c["sizes"], c["n_imps"]
 
-    def rows(tables):
-        out = []
-        for n_imp, table in zip(n_imps, tables):
+    def rows(results):
+        out, per = [], len(ratios) * len(sizes)
+        for i, n_imp in enumerate(n_imps):
+            table = {k: v for t in results[i * per:(i + 1) * per] for k, v in t.items()}
             for ratio in ratios:
                 d_s = extrapolate_inverse(sizes, [table[(ratio, n)][0] for n in sizes])
                 d_f = extrapolate_inverse(sizes, [table[(ratio, n)][1] for n in sizes])
@@ -332,12 +346,14 @@ def _plan_dot_crossover(c):
     ladders = {r: tuple(_dot_ladder(r, x_lo, x_hi, c["ladder_factor"])) for r in c["ratios"]}
     for sizes in ladders.values():
         _check_pairs(sizes, lambda n: dot_pair(1.0, n), "open")
-    jobs = tuple((f"ratio={r:g} sizes={s[0]}..{s[-1]}", dot_series,
-                  (r, s, c["parallelism"])) for r, s in ladders.items())
+    jobs = tuple((f"ratio={r:g} n_sites={n}", dot_series, (r, (n,)))
+                 for r, sizes in ladders.items() for n in sizes)
 
     def rows(dots):
-        out = []
-        for (ratio, sizes), (nodes, s_even, s_odd, f_even, f_odd) in zip(ladders.items(), dots):
+        out, points = [], iter(dots)
+        for ratio, sizes in ladders.items():
+            nodes, s_even, s_odd, f_even, f_odd = map(
+                np.concatenate, zip(*[next(points) for _ in sizes]))
             curve_s = dot_crossover(nodes, s_even, s_odd, ratio)
             curve_f = dot_crossover(nodes, f_even, f_odd, ratio)
             for n, x, ds, df in zip(sizes[1:-1], curve_s.x, curve_s.delta_slope,
@@ -354,10 +370,11 @@ def _plan_slope_at_unity(c):
         if len(window_ratios(c["ratios"], w)) < 2:
             raise ConfigError(f"fit window {w:g} holds fewer than two ratios in [{1 - w:g}, 1]")
 
-    def rows(tables):
+    def rows(results):
         out = []
         for idx, kind in _pick(c["kind"], ((0, "entropy"), (1, "fluctuation"))):
-            slopes = delta_slope_at_unity({k: v[idx] for k, v in tables[0].items()}, windows)
+            table = {k: v[idx] for t in results for k, v in t.items()}
+            slopes = delta_slope_at_unity(table, windows)
             out.extend(("slope-at-unity", kind, eps, slope) for eps, slope in slopes)
             (w1, s1), (w2, s2) = slopes[0], slopes[-1]
             out.append(("slope-at-unity", kind, 0.0, (s2 * w1 - s1 * w2) / (w1 - w2)))
@@ -402,13 +419,12 @@ def theory_check_rows() -> tuple[list[str], list[tuple]]:
     checks.append(("ceff-at-unity", effective_central_charge(1.0), 1.0, 1e-12))
 
     checks.append(("entropy-quadrature", tabulated_entropy_integral(),
-                   -math.pi / 6.0, 1e-8))
+                   -math.pi / 6.0, 1e-13))
     checks.append(("fluct-quadrature", tabulated_fluct_integral(),
-                   4.0 * math.pi * math.log(2.0), 1e-6))
+                   4.0 * math.pi * math.log(2.0), 1e-12))
     checks.append(("entropy-slope-thin", entropy_slope_integral(0.0),
-                   math.pi / 6.0, 1e-4))
-    checks.append(("entropy-slope-half", entropy_slope_integral(0.5),
-                   0.500125, 5e-4))
+                   math.pi / 6.0, 1e-13))
+    checks.append(("entropy-slope-half", entropy_slope_integral(0.5), 0.5, 1e-13))
 
     shift = phase_shift(0.8)
     checks.append(("phase-shift-cosine", math.cos(shift.shift),
@@ -444,16 +460,29 @@ _PLANNERS = {
 }
 
 
-def _execute(jobs, rows) -> list[tuple]:
-    """Run every job in order, then rows; a failure names its grid point."""
+def _execute(jobs, rows, parallelism: int = 1) -> list[tuple]:
+    """Run every job, serially or on one pool of at most parallelism workers,
+    then rows on the results in job order.  A failure names the grid point of
+    the first failing job in job order; the pool drops the jobs still pending."""
+    pool = None
+    if parallelism > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms on every `lab` start
+        # the pool starts every worker at once, so start no idle ones
+        pool = ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)))
+        calls = [pool.submit(driver, *args).result for _, driver, args in jobs]
+    else:
+        calls = [functools.partial(driver, *args) for _, driver, args in jobs]
     results = []
     try:
-        for label, driver, args in jobs:
-            results.append(driver(*args))
+        for (label, _, _), call in zip(jobs, calls):
+            results.append(call())
         label = "fits"
         return rows(results)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise ScenarioError(f"{label}: {exc}") from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def cmd_run(args) -> int:
@@ -465,7 +494,7 @@ def cmd_run(args) -> int:
             raise ConfigError("either a config path or --print-config is required")
         config = _load_config(args.config)
         header, jobs, rows = _PLANNERS[config["scenario"]](config)
-        rows = _execute(jobs, rows)
+        rows = _execute(jobs, rows, config.get("parallelism", 1))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,9 +16,7 @@ level non-degenerate).
 from __future__ import annotations
 
 import math
-import os
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -129,21 +127,19 @@ def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
 
 
 def boundary_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
-                   boundary: str = "open", parallelism: int = 1) -> list[ScalingSample]:
+                   boundary: str = "open") -> list[ScalingSample]:
     """Pair measurements with a single defect on the region's border bond,
     over a ladder of total sizes.
 
     The even subsystem takes the nearest even integer to n_sites/aspect_den.
     Ring sizes must be 2 mod 4.  Results come back sorted by (n_sites, parity).
     """
-    tasks = [(ratio, n_sites, ladder_region(n_sites, aspect_den), boundary)
-             for n_sites in sizes]
-    pairs = _run(pair_samples, tasks, parallelism)
-    return [s for pair in pairs for s in pair]
+    return [s for n_sites in sizes
+            for s in pair_samples(ratio, n_sites, ladder_region(n_sites, aspect_den), boundary)]
 
 
 def splitting_table(ratios: Sequence[float], sizes: Sequence[int], aspect_num: int = 1,
-                    aspect_den: int = 2, n_imp: int = 1, parallelism: int = 1
+                    aspect_den: int = 2, n_imp: int = 1
                     ) -> dict[tuple[float, int], tuple[float, float]]:
     """Open-chain parity splittings of an n_imp-bond block on a (ratio,
     size) grid at fixed subsystem aspect.
@@ -152,12 +148,12 @@ def splitting_table(ratios: Sequence[float], sizes: Sequence[int], aspect_num: i
     integer.  Keys are (ratio, n_sites); values (delta S, delta F), even
     minus odd.
     """
-    keys = [(ratio, n_sites) for ratio in ratios for n_sites in sizes]
-    tasks = [(ratio, n_sites, aspect_region(n_sites, aspect_num, aspect_den), "open", n_imp)
-             for ratio, n_sites in keys]
-    pairs = _run(pair_samples, tasks, parallelism)
+    pairs = {(ratio, n_sites): pair_samples(ratio, n_sites,
+                                            aspect_region(n_sites, aspect_num, aspect_den),
+                                            "open", n_imp)
+             for ratio in ratios for n_sites in sizes}
     return {key: (even.entropy - odd.entropy, even.fluctuation - odd.fluctuation)
-            for key, (even, odd) in zip(keys, pairs)}
+            for key, (even, odd) in pairs.items()}
 
 
 def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
@@ -172,7 +168,7 @@ def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
             place_pattern(dot_impurity(ratio, ell + 1), n_sites + 2))
 
 
-def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
+def dot_series(ratio: float, sizes: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Half-chain observables around a centered weak dot, by parity.
 
@@ -184,8 +180,9 @@ def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
     (nodes, entropy_even, entropy_odd, fluct_even, fluct_odd)
         Arrays over the size ladder; nodes hold ln(n_sites + 1).
     """
-    tasks = [dot_pair(ratio, n_sites) for n_sites in sizes]
-    pairs = _run(_measure_dot_pair, tasks, parallelism)
+    chains = [dot_pair(ratio, n_sites) for n_sites in sizes]
+    pairs = [(measure(even, even.n_sites // 2), measure(odd, even.n_sites // 2 + 1))
+             for even, odd in chains]
     nodes = np.log(np.asarray(sizes, dtype=float) + 1.0)
     se = np.array([even[0] for even, _ in pairs])
     so = np.array([odd[0] for _, odd in pairs])
@@ -193,31 +190,3 @@ def dot_series(ratio: float, sizes: Sequence[int], parallelism: int = 1
     fo = np.array([odd[1] for _, odd in pairs])
     return nodes, se, so, fe, fo
 
-
-def _measure_dot_pair(even: ChainSpec, odd: ChainSpec):
-    ell = even.n_sites // 2
-    return measure(even, ell), measure(odd, ell + 1)
-
-
-def resolve_parallelism(parallelism: int) -> int:
-    """Worker count, overridable through the LAB_THREADS variable."""
-    env = os.environ.get("LAB_THREADS")
-    if env is not None:
-        try:
-            parallelism = int(env)
-        except ValueError as err:
-            raise ValueError(f"LAB_THREADS must be an integer, got {env!r}") from err
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    return parallelism
-
-
-def _run(fn: Callable, tasks: Iterable[tuple], parallelism: int) -> list:
-    tasks = list(tasks)
-    parallelism = resolve_parallelism(parallelism)
-    if parallelism == 1 or len(tasks) <= 1:
-        return [fn(*t) for t in tasks]
-    # the pool starts every worker at once, so start no idle ones
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
-        futures = [pool.submit(fn, *t) for t in tasks]
-        return [f.result() for f in futures]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -39,6 +40,13 @@ def test_theory_check_passes(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert sorted((t[0], t[-1]) for t in table) == [(r[0], r[-1]) for r in rows]
     assert len(rows) == 9
+
+
+def test_quadrature_off_by_1e9_fails_the_theory_check(monkeypatch, capsys):
+    # the quadratures hold to ~1e-15, so a drift of 1e-9 is a failure
+    monkeypatch.setattr(cli, "tabulated_entropy_integral", lambda: -math.pi / 6.0 + 1e-9)
+    assert cli.main(["theory-check"]) == 3
+    assert "check entropy-quadrature failed" in capsys.readouterr().err
 
 
 def test_failed_theory_check_exits_3(tmp_path, monkeypatch, capsys):
@@ -452,15 +460,15 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
                 ValueError("occupations outside [0, 1]: min -1.000e-03, max 1.000e+00"))
     for config, label in (
             (dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40]),
-             "ratio=0.8 sizes=40..40"),
+             "ratio=0.8 n_sites=40"),
             (dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8], sizes=[42]),
-             "ratio=0.8 sizes=42..42"),
+             "ratio=0.8 n_sites=42"),
             (dict(scenario="ssh-collapse", n_imps=[1], ratios=[0.8], sizes=[40, 80]),
-             "n_imp=1 ratios=[0.8] sizes=[40, 80]"),
+             "n_imp=1 ratio=0.8 n_sites=40"),
             (dict(scenario="dot-crossover", ratios=[0.3], x_lo=0.5, x_hi=10.0,
-                  ladder_factor=1.3), "ratio=0.3 sizes="),
+                  ladder_factor=1.3), "ratio=0.3 n_sites=8"),
             (dict(scenario="slope-at-unity", ratios=[0.95, 1.0], sizes=[40, 80]),
-             "n_imp=1 ratios=[0.95, 1.0] sizes=[40, 80]"),
+             "n_imp=1 ratio=0.95 n_sites=40"),
             (dict(scenario="zero-modes", lead=10, n_imps=[3]), "n_imp=3 n_sites=26")):
         for failure in failures:
             def fail(*args, **kwargs):
@@ -480,6 +488,87 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
             assert f"numerical failure at {label}" in err, err
             assert str(failure) in err, err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_pool_failure_names_the_first_failing_grid_point(tmp_path, monkeypatch, capsys):
+    # a real failure inside the workers: ratio 1e20 leaves a degenerate Fermi
+    # level on both rings; the first of them in plan order is named
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("LAB_THREADS", "2")
+    cfg = _write_config(tmp_path / "f.json", output="f.csv", scenario="impurity-sweep",
+                        boundary="periodic", sizes=[42, 82], ratios=[0.8, 1e20])
+    assert cli.main(["run", cfg]) == 3
+    assert "numerical failure at ratio=1e+20 n_sites=42:" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_resolve_parallelism(monkeypatch):
+    monkeypatch.delenv("LAB_THREADS", raising=False)
+    assert cli.resolve_parallelism(3) == 3
+    monkeypatch.setenv("LAB_THREADS", "2")
+    assert cli.resolve_parallelism(7) == 2
+    monkeypatch.setenv("LAB_THREADS", "zero")
+    with pytest.raises(ValueError):
+        cli.resolve_parallelism(1)
+    monkeypatch.setenv("LAB_THREADS", "0")
+    with pytest.raises(ValueError):
+        cli.resolve_parallelism(1)
+
+
+def test_parallel_results_match_serial(tmp_path, monkeypatch):
+    # two workers on any machine: the bytes must not depend on the worker count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for name, config in (
+            ("open", dict(scenario="impurity-sweep", ratios=[0.5, 0.8], sizes=[40, 60],
+                          aspect_den=4)),
+            ("ring", dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.5, 0.8],
+                          sizes=[42, 82])),
+            ("ssh", dict(scenario="ssh-collapse", n_imps=[1, 3], ratios=[0.5, 0.8],
+                         sizes=[40, 80])),
+            ("dot", dict(scenario="dot-crossover", ratios=[0.3, 0.5], x_lo=0.5, x_hi=10.0,
+                         ladder_factor=1.3)),
+            ("slope", dict(scenario="slope-at-unity", ratios=[0.9, 0.95, 1.0],
+                           sizes=[40, 80]))):
+        for workers in (1, 2):
+            cfg = _write_config(tmp_path / f"{name}{workers}.json", output=f"{name}{workers}.csv",
+                                parallelism=workers, **config)
+            assert cli.main(["run", cfg]) == 0, (name, workers)
+        assert (tmp_path / f"{name}1.csv").read_bytes() == (tmp_path / f"{name}2.csv").read_bytes()
+
+
+def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # records each pool's size and shutdown and runs its jobs in this process
+    started, shutdowns = [], []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cfg = _write_config(tmp_path / "c.json", scenario="impurity-sweep", ratios=[0.8],
+                        sizes=[24, 32, 40], aspect_den=4)
+    header, jobs, rows = cli._PLANNERS["impurity-sweep"](cli._load_config(cfg))
+    assert len(jobs) == 3
+    serial = cli._execute(jobs, rows)
+    assert started == []
+    # one pool per run, of no more workers than jobs
+    for parallelism, workers in ((5000, 3), (2, 2)):
+        started.clear()
+        assert cli._execute(jobs, rows, parallelism) == serial
+        assert started == [workers]
+    # the pool goes down with its pending jobs dropped
+    assert shutdowns == [True, True]
+    started.clear()
+    assert cli._execute(jobs[:1], rows, 2) == cli._execute(jobs[:1], rows)
+    assert started == []
 
 
 def test_repeated_grid_values_are_merged(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 No module imports scipy.linalg, scipy.special or scipy.sparse, which take
 ~0.3 s to load together; `spectral` loads scipy.linalg.cython_lapack from
-its extension file alone.  The theory predictions and `lab theory-check`
+its extension file alone.  Nor does any import the process pool
+(concurrent.futures.process, multiprocessing, ~20 ms), which only a
+`lab run` on more than one worker loads.  The theory predictions and `lab theory-check`
 take their quadratures on numpy alone, and load none of the three nor
 scipy.integrate.
 """
@@ -24,6 +26,14 @@ names = ("dstevd", "dlasdq", "dlasd6", "dlaed8", "dlaed9")
 capsules = {n: repr(spectral.cython_lapack.__pyx_capi__[n]).split(" at ")[0] for n in names}
 """
 
+# imports every paritylab module
+_IMPORT_ALL = """
+import importlib, json, pkgutil, sys
+import paritylab
+for module in pkgutil.iter_modules(paritylab.__path__):
+    importlib.import_module(f"paritylab.{module.name}")
+"""
+
 
 def _run(*parts: str):
     # the parts of a script, each indented as it likes; it prints JSON
@@ -37,12 +47,16 @@ def _run(*parts: str):
 
 
 def test_no_module_loads_scipy_linalg_special_or_sparse():
-    loaded = _run("""
-        import importlib, json, pkgutil, sys
-        import paritylab
-        for module in pkgutil.iter_modules(paritylab.__path__):
-            importlib.import_module(f"paritylab.{module.name}")
+    loaded = _run(_IMPORT_ALL, """
         print(json.dumps([m for m in ("scipy.linalg", "scipy.special", "scipy.sparse")
+                          if m in sys.modules]))
+    """)
+    assert loaded == []
+
+
+def test_no_module_loads_the_process_pool():
+    loaded = _run(_IMPORT_ALL, """
+        print(json.dumps([m for m in ("concurrent.futures.process", "multiprocessing")
                           if m in sys.modules]))
     """)
     assert loaded == []

@@ -1,16 +1,13 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
-from paritylab import sweeps
 from paritylab.chains import (ChainSpec, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize
 from paritylab.sweeps import (boundary_sweep, dot_pair, dot_series, measure,
-                              pair_samples, pair_specs, resolve_parallelism,
-                              size_ladder, splitting_table)
+                              pair_samples, pair_specs, size_ladder,
+                              splitting_table)
 
 
 def test_pair_specs_layouts():
@@ -133,49 +130,3 @@ def test_dot_series_geometry():
     with pytest.raises(ValueError, match="0 mod 4"):
         dot_series(0.3, [18])
 
-
-def test_resolve_parallelism(monkeypatch):
-    monkeypatch.delenv("LAB_THREADS", raising=False)
-    assert resolve_parallelism(3) == 3
-    monkeypatch.setenv("LAB_THREADS", "2")
-    assert resolve_parallelism(7) == 2
-    monkeypatch.setenv("LAB_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_parallelism(1)
-    monkeypatch.setenv("LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_parallelism(1)
-
-
-def test_parallel_results_match_serial(monkeypatch):
-    monkeypatch.delenv("LAB_THREADS", raising=False)
-    serial = boundary_sweep(0.8, [24, 32], aspect_den=4)
-    parallel = boundary_sweep(0.8, [24, 32], aspect_den=4,
-                              parallelism=2)
-    assert parallel == serial
-
-
-def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    # records the pool's size and runs its tasks in this process
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.delenv("LAB_THREADS", raising=False)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
-    pooled = boundary_sweep(0.8, [24, 32], aspect_den=4, parallelism=5000)
-    assert started == [2]
-    assert pooled == boundary_sweep(0.8, [24, 32], aspect_den=4)
