@@ -22,12 +22,11 @@ import sys
 
 import numpy as np
 
-from .chains import BOUNDARIES, alternating_block, place_pattern
+from .chains import BOUNDARIES, PARITIES, alternating_block, place_pattern
 from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
 from .scattering import exterior_matching, near_zero_modes, phase_shift
-from .sweeps import (aspect_region, boundary_sweep, dot_pair, dot_series, ladder_region,
-                     pair_specs, size_ladder, splitting_table)
+from .sweeps import aspect_region, dot_pair, ladder_region, measure, pair_specs, size_ladder
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
                      tabulated_entropy_integral, tabulated_fluct_integral)
@@ -259,63 +258,76 @@ def _check_size(n_sites, route: str | None, where: str = "") -> None:
         raise ConfigError(f"{where}n_sites={n:.6g} is above MAX_SITES={MAX_SITES}{memory}")
 
 
-def _check_pairs(sizes, build, route: str) -> None:
-    """Config error unless build(n_sites) places the chains of every size,
-    each within MAX_SITES."""
-    for n_sites in sizes:
-        _check_size(n_sites, route)
-        try:
-            chains = build(n_sites)
-        except ValueError as exc:
-            raise ConfigError(f"n_sites={n_sites}: {exc}") from exc
-        _check_size(max(spec.n_sites for spec in chains), route)
-
-
 # Planners: each takes a parsed config, checks what its scenario needs across
 # keys, builds every chain it will solve and returns (header, jobs, rows).
-# jobs holds (grid-point label, driver, args), one job per grid point: a
-# sweep's driver runs on a one-point grid.  rows(results) turns the drivers'
-# results, in job order, into CSV rows.  A planner raises only ConfigError
-# and never solves.
+# jobs holds (grid-point label, sweeps.measure, (chain, region_len)): a
+# sweep's grid point is two jobs, its even chain and then its odd chain,
+# which share the point's label.  rows(results) turns the (S, F) of every
+# job, in job order, into CSV rows.  A planner raises only ConfigError and
+# never solves.
+
+def _pair_jobs(label: str, route: str, place, n_sites: int, *args) -> list:
+    """The jobs of one grid point: place(n_sites, *args) returns l and the
+    (even, odd) chains, measured on l and l + 1 sites.  What place refuses is
+    a config error naming the grid point; every chain is held to MAX_SITES."""
+    _check_size(n_sites, route)
+    try:
+        region_len, (even, odd) = place(n_sites, *args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+    _check_size(max(even.n_sites, odd.n_sites), route)
+    return [(label, measure, (even, region_len)), (label, measure, (odd, region_len + 1))]
+
+
+def _splittings(results) -> list[tuple[float, float]]:
+    """(delta S, delta F), even minus odd, of each grid point's two results."""
+    return [(s_even - s_odd, f_even - f_odd)
+            for (s_even, f_even), (s_odd, f_odd) in zip(results[::2], results[1::2])]
+
 
 def _plan_impurity_sweep(c):
-    sizes, aspect_den, boundary = c["sizes"], c["aspect_den"], c["boundary"]
-    _check_pairs(sizes, lambda n: pair_specs(1.0, n, ladder_region(n, aspect_den), boundary),
-                 boundary)
-    jobs = tuple((f"ratio={r:g} n_sites={n}", boundary_sweep, (r, (n,), aspect_den, boundary))
-                 for r in c["ratios"] for n in sizes)
+    aspect_den, boundary = c["aspect_den"], c["boundary"]
+
+    def place(n, ratio):
+        region_len = ladder_region(n, aspect_den)
+        return region_len, pair_specs(ratio, n, region_len, boundary)
+    jobs = [job for r in c["ratios"] for n in c["sizes"]
+            for job in _pair_jobs(f"ratio={r:g} n_sites={n}", boundary, place, n, r)]
+    keys = [(r, parity) for r in c["ratios"] for _ in c["sizes"] for parity in PARITIES]
+
+    def rows(results):
+        return [("impurity-sweep", r, spec.n_sites, ell, parity) + _pick(c["kind"], values)
+                for (r, parity), (_, _, (spec, ell)), values in zip(keys, jobs, results)]
     return (["scenario", "ratio", "n_sites", "region_len", "parity",
-             *_pick(c["kind"], ("entropy", "fluctuation"))], jobs,
-            lambda sweeps: [("impurity-sweep", s.ratio, s.n_sites, s.region_len, s.parity)
-                            + _pick(c["kind"], (s.entropy, s.fluctuation))
-                            for samples in sweeps for s in samples])
+             *_pick(c["kind"], ("entropy", "fluctuation"))], jobs, rows)
 
 
-def _splitting_jobs(c, n_imps, aspect_num: int) -> tuple:
-    """splitting_table jobs, one per (n_imp, ratio, size), for fits over sizes."""
-    ratios, sizes, aspect_den = c["ratios"], c["sizes"], c["aspect_den"]
+def _splitting_jobs(c, n_imps, aspect_num: int) -> list:
+    """Jobs of an n_imp-bond block at fixed aspect, per (n_imp, ratio, size),
+    for fits over sizes."""
+    sizes, aspect_den = c["sizes"], c["aspect_den"]
     if len(sizes) < 2:
         raise ConfigError("need at least two distinct sizes to extrapolate")
-    for n_imp in n_imps:
-        _check_pairs(sizes, lambda n: pair_specs(
-            1.0, n, aspect_region(n, aspect_num, aspect_den), n_imp=n_imp), "open")
-    return tuple((f"n_imp={n_imp} ratio={r:g} n_sites={n}", splitting_table,
-                  ((r,), (n,), aspect_num, aspect_den, n_imp))
-                 for n_imp in n_imps for r in ratios for n in sizes)
+
+    def place(n, ratio, n_imp):
+        region_len = aspect_region(n, aspect_num, aspect_den)
+        return region_len, pair_specs(ratio, n, region_len, "open", n_imp)
+    return [job for n_imp in n_imps for r in c["ratios"] for n in sizes
+            for job in _pair_jobs(f"n_imp={n_imp} ratio={r:g} n_sites={n}", "open",
+                                  place, n, r, n_imp)]
 
 
 def _plan_ssh_collapse(c):
     ratios, sizes, n_imps = c["ratios"], c["sizes"], c["n_imps"]
 
     def rows(results):
-        out, per = [], len(ratios) * len(sizes)
-        for i, n_imp in enumerate(n_imps):
-            table = {k: v for t in results[i * per:(i + 1) * per] for k, v in t.items()}
+        out, deltas = [], iter(_splittings(results))
+        for n_imp in n_imps:
             for ratio in ratios:
-                d_s = extrapolate_inverse(sizes, [table[(ratio, n)][0] for n in sizes])
-                d_f = extrapolate_inverse(sizes, [table[(ratio, n)][1] for n in sizes])
+                d_s, d_f = zip(*[next(deltas) for _ in sizes])
                 out.append(("ssh-collapse", n_imp, ratio, ratio**n_imp)
-                           + _pick(c["kind"], (d_s, d_f)))
+                           + _pick(c["kind"], (extrapolate_inverse(sizes, d_s),
+                                               extrapolate_inverse(sizes, d_f))))
         return out
     return (["scenario", "n_imp", "ratio", "strength",
              *_pick(c["kind"], ("delta_entropy", "delta_fluct"))],
@@ -344,16 +356,16 @@ def _plan_dot_crossover(c):
     if not x_lo < x_hi:
         raise ConfigError(f"need x_lo < x_hi, got {x_lo}, {x_hi}")
     ladders = {r: tuple(_dot_ladder(r, x_lo, x_hi, c["ladder_factor"])) for r in c["ratios"]}
-    for sizes in ladders.values():
-        _check_pairs(sizes, lambda n: dot_pair(1.0, n), "open")
-    jobs = tuple((f"ratio={r:g} n_sites={n}", dot_series, (r, (n,)))
-                 for r, sizes in ladders.items() for n in sizes)
+    jobs = [job for r, sizes in ladders.items() for n in sizes
+            for job in _pair_jobs(f"ratio={r:g} n_sites={n}", "open",
+                                  lambda n, ratio: (n // 2, dot_pair(ratio, n)), n, r)]
 
-    def rows(dots):
-        out, points = [], iter(dots)
+    def rows(results):
+        out, pairs = [], iter(zip(results[::2], results[1::2]))
         for ratio, sizes in ladders.items():
-            nodes, s_even, s_odd, f_even, f_odd = map(
-                np.concatenate, zip(*[next(points) for _ in sizes]))
+            even, odd = zip(*[next(pairs) for _ in sizes])
+            (s_even, f_even), (s_odd, f_odd) = zip(*even), zip(*odd)
+            nodes = np.log(np.asarray(sizes, dtype=float) + 1.0)
             curve_s = dot_crossover(nodes, s_even, s_odd, ratio)
             curve_f = dot_crossover(nodes, f_even, f_odd, ratio)
             for n, x, ds, df in zip(sizes[1:-1], curve_s.x, curve_s.delta_slope,
@@ -370,10 +382,12 @@ def _plan_slope_at_unity(c):
         if len(window_ratios(c["ratios"], w)) < 2:
             raise ConfigError(f"fit window {w:g} holds fewer than two ratios in [{1 - w:g}, 1]")
 
+    keys = [(r, n) for r in c["ratios"] for n in c["sizes"]]
+
     def rows(results):
-        out = []
+        out, deltas = [], _splittings(results)
         for idx, kind in _pick(c["kind"], ((0, "entropy"), (1, "fluctuation"))):
-            table = {k: v[idx] for t in results for k, v in t.items()}
+            table = {key: d[idx] for key, d in zip(keys, deltas)}
             slopes = delta_slope_at_unity(table, windows)
             out.extend(("slope-at-unity", kind, eps, slope) for eps, slope in slopes)
             (w1, s1), (w2, s2) = slopes[0], slopes[-1]
@@ -469,9 +483,9 @@ def _execute(jobs, rows, parallelism: int = 1) -> list[tuple]:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms on every `lab` start
         # the pool starts every worker at once, so start no idle ones
         pool = ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)))
-        calls = [pool.submit(driver, *args).result for _, driver, args in jobs]
+        calls = [pool.submit(fn, *args).result for _, fn, args in jobs]
     else:
-        calls = [functools.partial(driver, *args) for _, driver, args in jobs]
+        calls = [functools.partial(fn, *args) for _, fn, args in jobs]
     results = []
     try:
         for (label, _, _), call in zip(jobs, calls):

@@ -1,27 +1,24 @@
-"""Grid drivers: from defect geometries to parity-paired measurements.
+"""Parity-pair geometry, and the one measurement of a chain.
 
-Every routine here builds chains at half filling, measures subsystem
-entropy and number fluctuation through `measure`, the one route for open
-chains and rings, and labels the results by subsystem parity.  A border
-defect is a block of n_imp equal bonds on every other bond, centred on the
-region's border bond; one bond is a single defect.  The even member of a
-pair has an even subsystem with the block at its border; the odd member
-shifts block and border together by one site.  A dot, two successive weak
-bonds, has its own pair (`dot_pair`).  Grids are expressed as ladders of
-total sizes, rounded to whatever congruence the geometry needs (even
-subsystems for the even member, rings of size 2 mod 4 to keep the Fermi
-level non-degenerate).
+`measure` takes the entropy and number fluctuation of a chain's first
+sites at half filling, the one route for open chains and rings.  The rest
+places the chains a sweep measures, solving nothing.  A border defect is a
+block of n_imp equal bonds on every other bond, centred on the region's
+border bond; one bond is a single defect.  The even member of a pair
+(`pair_specs`) has an even subsystem with the block at its border; the odd
+member shifts block and border together by one site.  A dot, two
+successive weak bonds, has its own pair (`dot_pair`).  Grids are ladders
+of total sizes (`size_ladder`), rounded to whatever congruence the
+geometry needs (even subsystems for the even member, rings of size 2 mod 4
+to keep the Fermi level non-degenerate), and the subsystem follows the
+size (`ladder_region`, `aspect_region`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-import numpy as np
 
 from .chains import ChainSpec, alternating_block, dot_impurity, place_pattern
-from .fitting import ScalingSample
 from .observables import charge_fluctuation, entanglement_entropy, sublattice_occupations
 from .spectral import half_filled_block
 
@@ -76,25 +73,6 @@ def aspect_region(n_sites: int, aspect_num: int, aspect_den: int) -> int:
     return ell2 // aspect_den
 
 
-def pair_samples(ratio: float, n_sites: int, region_len: int, boundary: str = "open",
-                 n_imp: int = 1) -> tuple[ScalingSample, ScalingSample]:
-    """Measure the even/odd pair of `pair_specs`.
-
-    region_len must be even; the odd partner measures region_len + 1
-    sites with the whole block moved one bond to the right, on a chain
-    of the same size.
-    """
-    even_spec, odd_spec = pair_specs(ratio, n_sites, region_len, boundary, n_imp)
-    out = []
-    for parity, spec, ell in (("even", even_spec, region_len),
-                              ("odd", odd_spec, region_len + 1)):
-        s, f = measure(spec, ell)
-        out.append(ScalingSample(boundary=boundary, ratio=ratio, n_sites=n_sites,
-                                 region_len=ell, parity=parity,
-                                 entropy=s, fluctuation=f))
-    return out[0], out[1]
-
-
 # Most geometric steps a ladder may take from lo to hi: a factor a few ulps
 # above 1 would otherwise loop ~1e16 times before the first size check
 _MAX_LADDER_STEPS = 100_000
@@ -126,36 +104,6 @@ def size_ladder(lo: int, hi: int, step: int, offset: int = 0,
     return out
 
 
-def boundary_sweep(ratio: float, sizes: Sequence[int], aspect_den: int = 10,
-                   boundary: str = "open") -> list[ScalingSample]:
-    """Pair measurements with a single defect on the region's border bond,
-    over a ladder of total sizes.
-
-    The even subsystem takes the nearest even integer to n_sites/aspect_den.
-    Ring sizes must be 2 mod 4.  Results come back sorted by (n_sites, parity).
-    """
-    return [s for n_sites in sizes
-            for s in pair_samples(ratio, n_sites, ladder_region(n_sites, aspect_den), boundary)]
-
-
-def splitting_table(ratios: Sequence[float], sizes: Sequence[int], aspect_num: int = 1,
-                    aspect_den: int = 2, n_imp: int = 1
-                    ) -> dict[tuple[float, int], tuple[float, float]]:
-    """Open-chain parity splittings of an n_imp-bond block on a (ratio,
-    size) grid at fixed subsystem aspect.
-
-    Every size must make aspect_num * n_sites / aspect_den an even
-    integer.  Keys are (ratio, n_sites); values (delta S, delta F), even
-    minus odd.
-    """
-    pairs = {(ratio, n_sites): pair_samples(ratio, n_sites,
-                                            aspect_region(n_sites, aspect_num, aspect_den),
-                                            "open", n_imp)
-             for ratio in ratios for n_sites in sizes}
-    return {key: (even.entropy - odd.entropy, even.fluctuation - odd.fluctuation)
-            for key, (even, odd) in pairs.items()}
-
-
 def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
     """Even/odd chains of a half-chain dot, built without solving: n_sites
     sites with the dot bonds at (ell, ell + 1), ell = n_sites/2, and one
@@ -166,27 +114,3 @@ def dot_pair(ratio: float, n_sites: int) -> tuple[ChainSpec, ChainSpec]:
     ell = n_sites // 2
     return (place_pattern(dot_impurity(ratio, ell), n_sites),
             place_pattern(dot_impurity(ratio, ell + 1), n_sites + 2))
-
-
-def dot_series(ratio: float, sizes: Sequence[int]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Half-chain observables around a centered weak dot, by parity.
-
-    Each size solves only the two chains of `dot_pair`, with subsystems of
-    n_sites/2 and n_sites/2 + 1 sites, which share the node ln(n_sites + 1).
-
-    Returns
-    -------
-    (nodes, entropy_even, entropy_odd, fluct_even, fluct_odd)
-        Arrays over the size ladder; nodes hold ln(n_sites + 1).
-    """
-    chains = [dot_pair(ratio, n_sites) for n_sites in sizes]
-    pairs = [(measure(even, even.n_sites // 2), measure(odd, even.n_sites // 2 + 1))
-             for even, odd in chains]
-    nodes = np.log(np.asarray(sizes, dtype=float) + 1.0)
-    se = np.array([even[0] for even, _ in pairs])
-    so = np.array([odd[0] for _, odd in pairs])
-    fe = np.array([even[1] for even, _ in pairs])
-    fo = np.array([odd[1] for _, odd in pairs])
-    return nodes, se, so, fe, fo
-

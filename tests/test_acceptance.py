@@ -5,6 +5,7 @@ carries its own diagnosis.  The full module takes several minutes on one
 core; everything heavy is shared through module-scoped fixtures.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,17 +13,18 @@ import pytest
 
 from paritylab.chains import (alternating_block, dot_impurity, place_pattern,
                               single_impurity)
-from paritylab.fitting import (boundary_part, curve_sup_distance,
-                               delta_slope_at_unity, dot_crossover,
-                               extrapolate_inverse, fit_boundary_entropy,
-                               fit_boundary_fluct, fit_bulk_entropy,
-                               fit_bulk_fluct, power_law_exponent)
+from paritylab.fitting import (ScalingSample, boundary_part,
+                               curve_sup_distance, delta_slope_at_unity,
+                               dot_crossover, extrapolate_inverse,
+                               fit_boundary_entropy, fit_boundary_fluct,
+                               fit_bulk_entropy, fit_bulk_fluct,
+                               power_law_exponent)
 from paritylab.fock import fock_region_observables
 from paritylab.observables import Region, region_observables
 from paritylab.scattering import near_zero_modes
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
-from paritylab.sweeps import (boundary_sweep, dot_series, size_ladder,
-                              splitting_table)
+from paritylab.sweeps import (aspect_region, dot_pair, ladder_region, measure,
+                              pair_specs, size_ladder)
 from paritylab.theory import (FLUCT_SERIES_CONSTANT, dilog,
                               effective_central_charge,
                               effective_central_charge_alt,
@@ -41,9 +43,46 @@ CEFF_LAMBDAS = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 INVERSES = {0.25: 4.0, 0.5: 2.0, 0.8: 1.25}
 
 
+# The grids below are the `pair_specs` / `dot_pair` chains and `measure`
+# calls that `lab run` plans for the same configs.
+
+def _pair(chains, ell):
+    """S and F of an even chain at l sites, then of its odd partner at l + 1."""
+    return measure(chains[0], ell), measure(chains[1], ell + 1)
+
+
+def _border_samples(ratio, sizes, boundary="open"):
+    """Even then odd sample of a border bond per size, at l ~ L/10."""
+    samples = []
+    for n in sizes:
+        ell = ladder_region(n, 10)
+        for length, parity, (s, f) in zip((ell, ell + 1), ("even", "odd"),
+                                          _pair(pair_specs(ratio, n, ell, boundary), ell)):
+            samples.append(ScalingSample(boundary, ratio, n, length, parity, s, f))
+    return samples
+
+
+def _splitting_table(ratios, sizes, aspect_den, n_imp=1):
+    """(delta S, delta F), even minus odd, of an open-chain block at aspect
+    1/aspect_den, keyed by (ratio, n_sites)."""
+    table = {}
+    for ratio, n in itertools.product(ratios, sizes):
+        ell = aspect_region(n, 1, aspect_den)
+        (s_even, f_even), (s_odd, f_odd) = _pair(pair_specs(ratio, n, ell, "open", n_imp), ell)
+        table[(ratio, n)] = (s_even - s_odd, f_even - f_odd)
+    return table
+
+
+def _dot_series(ratio, sizes):
+    """ln(L + 1) and the even and odd S and F of a half-chain dot per size."""
+    even, odd = zip(*[_pair(dot_pair(ratio, n), n // 2) for n in sizes])
+    (se, fe), (so, fo) = zip(*even), zip(*odd)
+    return np.log(np.asarray(sizes, dtype=float) + 1.0), se, so, fe, fo
+
+
 @pytest.fixture(scope="module")
 def obc_samples():
-    return {lam: boundary_sweep(lam, OBC_SIZES, aspect_den=10)
+    return {lam: _border_samples(lam, OBC_SIZES)
             for lam in LAMBDAS}
 
 
@@ -57,7 +96,7 @@ def obc_fits(obc_samples):
 def pbc_fits():
     out = {}
     for lam in LAMBDAS:
-        samples = boundary_sweep(lam, PBC_SIZES, aspect_den=10, boundary="periodic")
+        samples = _border_samples(lam, PBC_SIZES, "periodic")
         out[lam] = (fit_bulk_entropy(samples), fit_bulk_fluct(samples))
     return out
 
@@ -66,7 +105,7 @@ def pbc_fits():
 def slope_tables():
     ratios = (0.90, 0.925, 0.95, 0.975, 1.0)
     sizes = (240, 480, 960)
-    return {den: splitting_table(ratios, sizes, 1, den)
+    return {den: _splitting_table(ratios, sizes, den)
             for den in (2, 3)}
 
 
@@ -101,7 +140,7 @@ def test_c02_parity_plateau_and_clean_decay(obc_samples):
 
     def abs_deltas(lam):
         pairs = {}
-        for s in obc_samples[lam] + boundary_sweep(lam, added, aspect_den=10):
+        for s in obc_samples[lam] + _border_samples(lam, added):
             pairs.setdefault(s.n_sites, {})[s.parity] = s.entropy
         return {n: abs(v["even"] - v["odd"]) for n, v in sorted(pairs.items())}
 
@@ -203,11 +242,11 @@ def test_c07_block_collapse_and_plateaus():
     plateau_s = plateau_f = 0.0
     for n_imp in (3, 5):
         block = extrapolated(
-            splitting_table(ratios, sizes, 1, 2, n_imp=n_imp),
+            _splitting_table(ratios, sizes, 2, n_imp),
             ratios)
         strengths = [r**n_imp for r in ratios]
         single = extrapolated(
-            splitting_table(strengths, sizes, 1, 2), strengths)
+            _splitting_table(strengths, sizes, 2), strengths)
         for r in ratios:
             ds, df = block[r]
             ds1, df1 = single[r**n_imp]
@@ -258,7 +297,7 @@ def _crossover(ratio):
     lo = max(8, 4 * round(0.3 / ratio**2 / 4.0))
     hi = int(6.0 / ratio**2)
     sizes = size_ladder(lo, hi, 4, factor=1.25)
-    nodes, se, so, fe, fo = dot_series(ratio, sizes)
+    nodes, se, so, fe, fo = _dot_series(ratio, sizes)
     return (dot_crossover(nodes, se, so, ratio),
             dot_crossover(nodes, fe, fo, ratio))
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -346,6 +347,75 @@ def test_planners_are_total(monkeypatch, config):
     assert header and jobs
 
 
+def test_planners_measure_each_chain_of_each_grid_point(monkeypatch):
+    # each grid point builds its two chains once, with its own ratio, and is
+    # two jobs: `measure` of the even chain at l, then of the odd one at
+    # l + 1, in plan order.  Nothing is solved.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a planner reached a solve")
+
+    monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
+    built = []
+    for name in ("pair_specs", "dot_pair"):
+        def recorded(*args, build=getattr(sweeps, name)):
+            built.append(args[:2])
+            return build(*args)
+        monkeypatch.setattr(cli, name, recorded)
+
+    def plan(**config):
+        built.clear()
+        path = _write_config("p.json", **config)
+        return cli._PLANNERS[config["scenario"]](cli._load_config(path))
+
+    dots = [(r, n) for r in (0.3, 0.5) for n in cli._dot_ladder(r, 0.5, 10.0, 1.3)]
+    # (config, then per grid point its label, the arguments of its chains and l)
+    for config, points in (
+            (dict(scenario="impurity-sweep", ratios=[0.6, 2.0], sizes=[40, 60], aspect_den=5),
+             [(f"ratio={r:g} n_sites={n}", (r, n, ell), ell)
+              for r in (0.6, 2.0) for n, ell in ((40, 8), (60, 12))]),
+            (dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.6], sizes=[42],
+                  aspect_den=3), [("ratio=0.6 n_sites=42", (0.6, 42, 14, "periodic"), 14)]),
+            (dict(scenario="ssh-collapse", n_imps=[1, 3], ratios=[0.5, 0.8], sizes=[40, 80]),
+             [(f"n_imp={k} ratio={r:g} n_sites={n}", (r, n, n // 2, "open", k), n // 2)
+              for k in (1, 3) for r in (0.5, 0.8) for n in (40, 80)]),
+            (dict(scenario="slope-at-unity", ratios=[0.95, 1.0], sizes=[40, 80]),
+             [(f"n_imp=1 ratio={r:g} n_sites={n}", (r, n, n // 2), n // 2)
+              for r in (0.95, 1.0) for n in (40, 80)]),
+            (dict(scenario="dot-crossover", ratios=[0.3, 0.5], x_lo=0.5, x_hi=10.0,
+                  ladder_factor=1.3), [(f"ratio={r:g} n_sites={n}", (r, n), n // 2)
+                                       for r, n in dots])):
+        build = sweeps.dot_pair if config["scenario"] == "dot-crossover" else sweeps.pair_specs
+        _, jobs, _ = plan(**config)
+        assert jobs == [(label, sweeps.measure, (spec, length)) for label, args, ell in points
+                        for spec, length in zip(build(*args), (ell, ell + 1))], config
+        assert built == [args[:2] for _, args, _ in points], config
+
+    # rows label each chain's values and take even minus odd per grid point:
+    # block splittings n_imp * r + 1/L in S and 2/L in F extrapolate to
+    # n_imp * r and 0
+    _, jobs, rows = plan(scenario="impurity-sweep", ratios=[0.6, 2.0], sizes=[40, 60],
+                         aspect_den=5)
+    values = [(float(i), -float(i)) for i in range(len(jobs))]
+    chains = [(r, n, ell + odd, parity) for r in (0.6, 2.0) for n, ell in ((40, 8), (60, 12))
+              for odd, parity in enumerate(("even", "odd"))]
+    assert rows(values) == [("impurity-sweep", *chain, *v) for chain, v in zip(chains, values)]
+    _, _, rows = plan(scenario="ssh-collapse", n_imps=[1, 3], ratios=[0.5, 0.8], sizes=[40, 80])
+    blocks = list(itertools.product((1, 3), (0.5, 0.8)))
+    out = rows([value for k, r in blocks for n in (40, 80)
+                for value in ((k * r + 1 / n, 2.0 + 2 / n), (0.0, 2.0))])
+    assert [row[1:4] for row in out] == [(k, r, r**k) for k, r in blocks]
+    assert [x for row in out for x in row[4:]] == pytest.approx(
+        [x for k, r in blocks for x in (k * r, 0.0)], abs=1e-12)
+
+    # a chain that cannot be placed is refused by its grid point: a ring not
+    # 2 mod 4 sites long, an aspect that leaves no even subsystem
+    with pytest.raises(cli.ConfigError, match="ratio=0.6 n_sites=40: ring size must be 2 mod 4"):
+        plan(scenario="impurity-sweep", boundary="periodic", ratios=[0.6], sizes=[42, 40])
+    with pytest.raises(cli.ConfigError,
+                       match="n_imp=1 ratio=0.8 n_sites=100: size 100 gives no even subsystem"):
+        plan(scenario="ssh-collapse", ratios=[0.8], sizes=[120, 100], aspect_den=3)
+
+
 def test_impurity_sweep_is_deterministic(tmp_path, capsys):
     common = dict(scenario="impurity-sweep", ratios=[0.8], sizes=[40, 60],
                   aspect_den=4)
@@ -447,7 +517,7 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
         raise DegenerateFermiLevelError("level crossing at the Fermi energy")
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "boundary_sweep", explode)
+        patch.setattr(sweeps, "half_filled_block", explode)
         cfg = _write_config(tmp_path / "c.json", scenario="impurity-sweep",
                             ratios=[0.8], sizes=[40], output="c.csv")
         assert cli.main(["run", cfg]) == 3
@@ -487,6 +557,14 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
             err = capsys.readouterr().err
             assert f"numerical failure at {label}" in err, err
             assert str(failure) in err, err
+        if config["scenario"] != "zero-modes":
+            # a grid point is two jobs: the last failure, on its odd chain alone, names it
+            solve = sweeps.half_filled_block
+            with monkeypatch.context() as patch:
+                patch.setattr(sweeps, "half_filled_block",
+                              lambda spec, ell: fail() if ell % 2 else solve(spec, ell))
+                assert cli.main(["run", cfg]) == 3, config
+            assert f"numerical failure at {label}: {failure}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -553,14 +631,15 @@ def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
             shutdowns.append(cancel_futures)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    # two sizes of one ratio are two grid points of two chains each
     cfg = _write_config(tmp_path / "c.json", scenario="impurity-sweep", ratios=[0.8],
-                        sizes=[24, 32, 40], aspect_den=4)
+                        sizes=[24, 32], aspect_den=4)
     header, jobs, rows = cli._PLANNERS["impurity-sweep"](cli._load_config(cfg))
-    assert len(jobs) == 3
+    assert len(jobs) == 4
     serial = cli._execute(jobs, rows)
     assert started == []
     # one pool per run, of no more workers than jobs
-    for parallelism, workers in ((5000, 3), (2, 2)):
+    for parallelism, workers in ((5000, 4), (2, 2)):
         started.clear()
         assert cli._execute(jobs, rows, parallelism) == serial
         assert started == [workers]

@@ -1,13 +1,10 @@
-import numpy as np
 import pytest
 
 from paritylab.chains import (ChainSpec, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize
-from paritylab.sweeps import (boundary_sweep, dot_pair, dot_series, measure,
-                              pair_samples, pair_specs, size_ladder,
-                              splitting_table)
+from paritylab.sweeps import dot_pair, measure, pair_specs, size_ladder
 
 
 def test_pair_specs_layouts():
@@ -29,20 +26,6 @@ def test_pair_specs_layouts():
     assert pair_specs(0.5, 42, 12, "periodic")[0].boundary == "periodic"
     with pytest.raises(ValueError, match="2 mod 4"):
         pair_specs(0.5, 40, 12, "periodic")
-
-
-def test_pair_samples_against_direct_measurement():
-    even, odd = pair_samples(0.7, 40, 12)
-    assert (even.parity, odd.parity) == ("even", "odd")
-    assert (even.region_len, odd.region_len) == (12, 13)
-    assert even.n_sites == odd.n_sites == 40
-    s, f = measure(place_pattern(single_impurity(0.7, 12), 40), 12)
-    assert (even.entropy, even.fluctuation) == (s, f)
-    # odd member: pattern and border both shifted one site right
-    s, f = measure(place_pattern(single_impurity(0.7, 13), 40), 13)
-    assert (odd.entropy, odd.fluctuation) == (s, f)
-    with pytest.raises(ValueError):
-        pair_samples(0.7, 40, 13)
 
 
 def test_measure_open_chain_regions():
@@ -84,49 +67,9 @@ def test_size_ladder():
         size_ladder(100, 200, 0)
 
 
-def test_boundary_sweep_layout():
-    samples = boundary_sweep(0.6, [40, 60], aspect_den=5)
-    assert [s.parity for s in samples] == ["even", "odd", "even", "odd"]
-    assert [s.n_sites for s in samples] == [40, 40, 60, 60]
-    assert [s.region_len for s in samples] == [8, 9, 12, 13]
-    assert all(s.boundary == "open" and s.ratio == 0.6 for s in samples)
-
-
-def test_bulk_sweep_ring_constraint():
-    samples = boundary_sweep(0.6, [42], aspect_den=3, boundary="periodic")
-    assert [s.region_len for s in samples] == [14, 15]
-    assert all(s.boundary == "periodic" for s in samples)
-    with pytest.raises(ValueError):
-        boundary_sweep(0.6, [40], boundary="periodic")
-
-
-def test_splitting_table():
-    table = splitting_table([0.5, 0.8], [24, 32], aspect_num=1,
-                            aspect_den=2)
-    assert set(table) == {(0.5, 24), (0.5, 32), (0.8, 24), (0.8, 32)}
-    # each entry is the even-minus-odd difference of one measured pair
-    for (ratio, n_sites), deltas in table.items():
-        even, odd = pair_samples(ratio, n_sites, n_sites // 2)
-        assert deltas == (even.entropy - odd.entropy,
-                          even.fluctuation - odd.fluctuation)
-    # splitting shrinks toward the transparent point
-    assert abs(table[(0.8, 32)][0]) < abs(table[(0.5, 32)][0])
-    with pytest.raises(ValueError):
-        splitting_table([0.5], [25], aspect_num=1, aspect_den=2)
-    with pytest.raises(ValueError):
-        splitting_table([0.5], [100], aspect_num=1, aspect_den=3)
-
-
 def test_dot_series_geometry():
+    # the odd member re-centres the dot on a chain two sites longer
     assert dot_pair(0.3, 16) == (place_pattern(dot_impurity(0.3, 8), 16),
                                  place_pattern(dot_impurity(0.3, 9), 18))
-    nodes, se, so, fe, fo = dot_series(0.3, [16, 24])
-    assert np.allclose(nodes, np.log([17.0, 25.0]))
-    s, f = measure(place_pattern(dot_impurity(0.3, 8), 16), 8)
-    assert (se[0], fe[0]) == (s, f)
-    # odd member re-centers the dot on a chain two sites longer
-    s, f = measure(place_pattern(dot_impurity(0.3, 9), 18), 9)
-    assert (so[0], fo[0]) == (s, f)
     with pytest.raises(ValueError, match="0 mod 4"):
-        dot_series(0.3, [18])
-
+        dot_pair(0.3, 18)
