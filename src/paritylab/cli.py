@@ -95,15 +95,15 @@ DEFAULTS = {
 # takes, the largest over region lengths (ru_maxrss of one `sweeps.measure`):
 # - "open": half-filled open chains, torn at the region's border
 #   (`spectral.half_filled_block`); the peak grows with the region, from
-#   31 MB at l = L/10 through 148 MB at l = L/2 to 319 MB at l = 0.9 L,
-#   for 6900 sites;
+#   15 MB at l = L/10 through 78 MB at l = L/2 and 170 MB at l = 0.9 L to
+#   208 MB at l = L - 4, for 6900 sites;
 # - "periodic": bond-centred rings, every ring a sweep plans, which solve
 #   one mirror sector of L/2 sites, torn after the region's last row while
 #   that row lies in the sector's first half: 143 MB above the interpreter
 #   for 6002 sites at l = L/10, 161 MB at l = L/4, the largest torn region,
 #   and 170 MB (4.7 L^2) at l = L/2, where the whole sector takes `stevd`.
 # The zero-modes scan takes B's singular values alone, in O(L) memory.
-PEAK_BYTES = {"open": 7.0, "periodic": 4.7}
+PEAK_BYTES = {"open": 4.6, "periodic": 4.7}
 MAX_SITES = 10_000
 
 

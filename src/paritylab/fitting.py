@@ -226,14 +226,6 @@ def extrapolate_inverse(n_sites: Sequence[int], values: Sequence[float]) -> floa
     return fit_line(1.0 / np.asarray(n_sites, dtype=float), values)[0]
 
 
-def power_law_exponent(x: Sequence[float], y: Sequence[float]) -> float:
-    """Slope of ln|y| against ln x; y must be nonzero throughout."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.abs(np.asarray(y, dtype=float)))
-    _, slope = fit_line(lx, ly)
-    return slope
-
-
 def window_ratios(ratios: Iterable[float], eps: float) -> list[float]:
     """Sorted ratios inside the fit window [1 - eps, 1] (1e-12 slack below)."""
     return sorted(lam for lam in ratios if 1.0 - eps - 1e-12 <= lam <= 1.0)
@@ -313,23 +305,3 @@ def dot_crossover(log_nodes: Sequence[float], even: Sequence[float],
     do = (so[2:] - so[:-2]) / (t[2:] - t[:-2])
     x = np.exp(t[1:-1]) * ratio * ratio
     return CrossoverCurve(ratio=ratio, x=x, delta_slope=de - do)
-
-
-def curve_sup_distance(a: CrossoverCurve, b: CrossoverCurve) -> float:
-    """Largest pointwise gap between two crossover curves on their overlap.
-
-    The shorter-range curve is compared against the other interpolated
-    linearly in ln x; raises if the overlap holds fewer than 3 nodes.
-    """
-    lo = max(a.x.min(), b.x.min())
-    hi = min(a.x.max(), b.x.max())
-    if hi <= lo:
-        raise ValueError("curves do not overlap in x")
-    worst = 0.0
-    for ref, other in ((a, b), (b, a)):
-        mask = (ref.x >= lo) & (ref.x <= hi)
-        if np.count_nonzero(mask) < 3:
-            raise ValueError("overlap region holds fewer than 3 nodes")
-        interp = np.interp(np.log(ref.x[mask]), np.log(other.x), other.delta_slope)
-        worst = max(worst, float(np.max(np.abs(ref.delta_slope[mask] - interp))))
-    return worst

@@ -21,9 +21,11 @@ rank-one secular merge of the two (Gu & Eisenstat, SIAM J. Matrix Anal.
 Appl. 16, 79, 1995), LAPACK's ``dlasd6``, needs only each block's
 singular values and the end components of its right singular vectors,
 closed-form sines for a block without defects and the bidiagonal QR
-``dlasdq`` otherwise.  Reading the merge's factors out on the region's
-rows alone, in the arithmetic of LAPACK's ``dlals0``, gives Q_A up to
-orthogonal factors on each side, which change no occupation.
+``dlasdq`` otherwise.  Both factors of the merge are one Cauchy matrix,
+scaled on each side, so one product of its rows on the poles the region
+meets with themselves reads them out on the region's rows and columns
+alone: Q_A up to orthogonal factors on each side, which change no
+occupation.
 
 A ring's B has one corner element more.  Every ring a sweep plans has a
 mirror axis through two bonds (see `mirror_axis`), and there the
@@ -209,7 +211,8 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
       which returns W = O_1 Q_A O_2 with O_1 and O_2 orthogonal, not Q_A
       itself: Q_A up to orthogonal factors on each side.  W has Q_A's
       singular values, the only thing `observables.sublattice_occupations`
-      reads, and takes O(L^2 + l^2 L) time and O(l L) memory where Q_A
+      reads, and comes from one product of a Cauchy block of l/2 x L/2
+      with itself, in O(L^2 + l^2 L) time and O(l L) memory, where Q_A
       itself would need the whole SVD of B.  A region of one site, or one
       ending within two sites of the far end, leaves no row to tear on one
       side and takes `_end_block`;
@@ -288,7 +291,9 @@ def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray
     and returns the merge factors U_m and V_m in factored form.  The
     region's rows and columns of U V^T are then U_1 (U_m V_m^T)[rows, cols]
     V_1^T for the upper block, and likewise for the lower one, so the
-    region's part of V_m U_m^T (`_merge_readout`) has Q_A's singular values.
+    region's part of V_m U_m^T has Q_A's singular values.  `_merge_readout`
+    forms it from dlasd6's poles and z alone, through one Cauchy block of
+    the poles the region meets, without U_m or V_m.
     """
     n_sites = ratios.size + 1
     nl, nr = torn // 2 - 1, (n_sites - torn) // 2
@@ -320,9 +325,7 @@ def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray
                  for g in range(givptr[0])]
     # the merged problem's row order: the appended row, then PERM(2:n)
     order = np.concatenate([[nl], perm[1:] - 1])
-    # POLES(:, 2) shifted by one, padded
-    dsig_next = np.append(poles[n + 1:n + k], 0.0)
-    secular = (poles[:k], poles[n:n + k], dsig_next, difl[:k], difr[:k], difr[n:n + k], z[:k])
+    secular = (poles[:k], poles[n:n + k], difl[:k], difr[:k], difr[n:n + k], z[:k])
     if region_first:
         rows_in, rows_out = np.arange(nl), np.arange(nl + 1)
     else:
@@ -332,90 +335,87 @@ def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray
 
 def _merge_readout(rows_in: np.ndarray, rows_out: np.ndarray, order: np.ndarray,
                    rotations: list, secular: tuple, n_sites: int) -> np.ndarray:
-    """Rows rows_out of V_m U_m^T times the unit vectors e_i, i in rows_in,
-    for the merge factors of one ``dlasd6`` call.
+    """Rows rows_out and columns rows_in of V_m U_m^T for the merge factors
+    of one ``dlasd6`` call.
 
-    This is LAPACK's ``dlals0`` applied with ICOMPQ = 0 and then 1, in its
-    own arithmetic, but on the rows that reach the result only: U_m^T is
-    the Givens rotations, the row order and the K x K secular block S_U,
-    and V_m the secular block S_V, the order's inverse and the rotations
-    reversed; rows beyond K are deflated and pass through.  The region's
-    unit vectors meet only ~l/2 columns of S_U and the region's rows only
-    ~l/2 rows of S_V, so two GEMMs of O(l L) entries replace dlals0's
-    K matrix-vector products per call over all L/2 rows.
+    As LAPACK's ``dlals0`` applies them, U_m^T is the Givens rotations G,
+    the row order P and the K x K secular block S_U, and V_m is the block
+    S_V, P^T and G^T, rows past K in P's order passing through.  So V_m
+    U_m^T = G^T P^T diag(S_V S_U, I) P G, and G acts on the rows and
+    columns of the small result, which also holds every row G touches.
+    S_V and S_U are one Cauchy matrix C[p, r] = 1/((dsig_p - d_r)(dsig_p +
+    d_r)) of the poles dsig and new singular values d, scaled on each side
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79, 1995): S_V[p, r] =
+    z_p C[p, r] / DIFR(r, 2), and S_U[r, q] = dsig_q z_q C[q, r] / (d_r
+    DIFR(r, 2)), but -1/(d_r DIFR(r, 2)) at dsig_0 = 0: the left singular
+    vector over its norm, which the secular equation ties to the right
+    one's, DIFR(r, 2).  So the region's part of S_V S_U is diag(z) C_R
+    diag(1/(d DIFR_2^2)) C_C^T diag(dsig z), one product (`_cauchy`) of C
+    on the poles its rows and columns meet.
 
-    Both factors are orthogonal, which is checked: every column of U_m^T
-    e_i and every row of S_V read must have unit norm within
-    MERGE_NORM_ATOL.
+    Both factors are orthogonal, which is checked: every row of S_V and
+    every column of S_U read must have unit norm within MERGE_NORM_ATOL.
+    A vector that dlals0 zeroes for z = 0 has norm 0 here and fails it.
     """
     n, k = order.size, secular[0].size
-    x = np.zeros((n, rows_in.size))
-    x[rows_in, np.arange(rows_in.size)] = 1.0
-    for a, b, c, s in rotations:
-        x[a], x[b] = c * x[a] + s * x[b], c * x[b] - s * x[a]
-    x = x[order]
-    support = np.flatnonzero(x[:k].any(axis=1))
-    picked = x[support]
-    for rows in _chunks(np.arange(k)):
-        x[rows] = _secular_left(rows, support, *secular) @ picked
-    _check_unit_norm(np.linalg.norm(x, axis=0), n_sites, "lasd6")
-    # the rotations pair rows, so a region row may need its partner
-    need = np.zeros(n, dtype=bool)
-    need[rows_out] = True
-    for a, b, _, _ in rotations:
-        need[a] = need[b] = need[a] or need[b]
-    rows = np.flatnonzero(need[order])
-    y = np.zeros_like(x)
-    for inner in _chunks(rows[rows < k]):
-        s_v = _secular_right(inner, *secular)
-        _check_unit_norm(np.linalg.norm(s_v, axis=1), n_sites, "lasd6")
-        y[order[inner]] = s_v @ x[:k]
-    outer = rows[rows >= k]
-    y[order[outer]] = x[outer]
+    d, dsig, z = secular[0], secular[1], secular[-1]
+    # the rows and columns read, then the others the rotations touch
+    extra = np.zeros((2, n), dtype=bool)
+    extra[:, [i for a, b, _, _ in rotations for i in (a, b)]] = True
+    extra[0, rows_out] = extra[1, rows_in] = False
+    rows, cols = (np.append(r, np.flatnonzero(e)) for r, e in zip((rows_out, rows_in), extra))
+    at = np.argsort(order)
+    inner_rows, inner_cols = np.flatnonzero(at[rows] < k), np.flatnonzero(at[cols] < k)
+    p, q = at[rows[inner_rows]], at[cols[inner_cols]]
+    # the rows' poles, then the columns' that are not among them
+    slot = np.full(k, -1)
+    slot[p] = np.arange(p.size)
+    poles = np.concatenate([p, q[slot[q] < 0]])
+    slot[poles] = np.arange(poles.size)
+    gram, sums = _cauchy(poles, *secular[:-1])
+    w = gram[:p.size, slot[q]]
+    del gram  # bounds the peak: the Gram block, then w and the result
+    w *= z[p, None]
+    w *= dsig[q] * z[q]
+    first = q == 0
+    col_norms = (dsig[q] * z[q]) ** 2 * sums[slot[q], 1]
+    col_norms[first] = np.sum((d * secular[4]) ** -2.0)
+    _check_unit_norm(np.sqrt(np.concatenate([z[p] ** 2 * sums[:p.size, 0], col_norms])),
+                     n_sites, "lasd6")
+    # deflated rows pass through
+    out = (rows[:, None] == cols).astype(float)
+    out[inner_rows[:, None], inner_cols] = w
+    out[inner_rows[:, None], inner_cols[first]] = -(z[p] * sums[:p.size, 2])[:, None]
+    row_at, col_at = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    row_at[rows], col_at[cols] = np.arange(rows.size), np.arange(cols.size)
     for a, b, c, s in reversed(rotations):
-        y[a], y[b] = c * y[a] - s * y[b], c * y[b] + s * y[a]
-    return y[rows_out]
+        for t, i, j in ((out, row_at[a], row_at[b]), (out.T, col_at[a], col_at[b])):
+            t[i], t[j] = c * t[i] - s * t[j], c * t[j] + s * t[i]
+    return out[:rows_out.size, :rows_in.size]
 
 
-def _chunks(rows: np.ndarray, size: int = 64):
-    """Consecutive slices of rows, to bound the secular blocks held at once."""
-    return (rows[start:start + size] for start in range(0, rows.size, size))
-
-
-def _secular_left(j, i, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
-    """Entries (j, i) of S_U as ``dlals0`` forms them, from dlasd6's new
-    singular values d, poles dsig (and dsig_next[j] = dsig[j + 1]), DIFL,
-    DIFR(:, 1:2) and updated z.
-
-    Row j is the left singular vector (-1, dsig_i z_i / (dsig_i^2 - d_j^2))
-    of the merged problem, the differences taken from DIFL and DIFR
-    without cancellation.  dlals0 divides it by its norm, which is
-    d_j DIFR(j, 2): DIFR(j, 2) is the norm of the right vector
-    z_i / (dsig_i^2 - d_j^2), and the secular equation
-    1 + sum_i z_i^2 / (dsig_i^2 - d_j^2) = 0 turns one norm into the other.
-    """
-    jj = j[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        below = (dsig[i] - dsig[jj]) - difl[jj]
-        above = (dsig[i] - dsig_next[jj]) - difr1[jj]
-        out = dsig[i] * z[i] / np.where(i <= jj, below, above) / (dsig[i] + d[jj])
-    out[:, (z[i] == 0.0) | (dsig[i] == 0.0)] = 0.0
-    out[:, i == 0] = -1.0
-    return out / (d[jj] * difr2[jj])
-
-
-def _secular_right(j, d, dsig, dsig_next, difl, difr1, difr2, z) -> np.ndarray:
-    """Rows j of S_V, every column, as ``dlals0`` forms them: column i is
-    the right singular vector z_j / (dsig_j^2 - d_i^2) of the merged
-    problem over its norm DIFR(i, 2) (see `_secular_left`)."""
-    jj = j[:, None]
-    i = np.arange(d.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        below = (dsig[jj] - dsig_next) - difr1
-        above = (dsig[jj] - dsig) - difl
-        out = z[jj] / np.where(i < jj, below, above) / (dsig[jj] + d) / difr2
-    out[z[j] == 0.0] = 0.0
-    return out
+def _cauchy(poles, d, dsig, difl, difr1, difr2):
+    """D D^T for the rows `poles` of D[p, r] = C[p, r] / (sqrt(d_r) DIFR(r, 2)),
+    r < K (see `_merge_readout`), and each row's sums of its entries squared
+    times d_r and over d_r, and of its entries over sqrt(d_r) DIFR(r, 2).
+    dsig_p - d_r is taken without cancellation, as ``dlals0`` takes it: from
+    DIFL(r) = d_r - dsig_r for p <= r, DIFR(r, 1) = d_r - dsig_{r+1} for
+    p > r.  64 rows at a time bound the temporaries."""
+    scale = 1.0 / (np.sqrt(d) * difr2)
+    weights = np.stack([d, 1.0 / d], axis=1)
+    dsig_next = np.append(dsig[1:], 0.0)
+    r = np.arange(d.size)
+    core, sums = np.empty((poles.size, d.size)), np.empty((poles.size, 3))
+    for start in range(0, poles.size, 64):
+        p, block = poles[start:start + 64, None], core[start:start + 64]
+        left = r < p
+        np.subtract(dsig[p], np.where(left, dsig_next, dsig), out=block)
+        block -= np.where(left, difr1, difl)
+        block *= dsig[p] + d
+        np.divide(scale, block, out=block)
+        sums[start:start + 64, :2] = (block * block) @ weights
+        sums[start:start + 64, 2] = block @ scale
+    return core @ core.T, sums
 
 
 def _check_unit_norm(norms: np.ndarray, n_sites: int, routine: str) -> None:

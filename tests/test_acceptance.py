@@ -11,14 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from acceptance_tools import (curve_sup_distance, perturbative_fluct_slope,
+                              power_law_exponent)
 from paritylab.chains import (alternating_block, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.fitting import (ScalingSample, boundary_part,
-                               curve_sup_distance, delta_slope_at_unity,
-                               dot_crossover, extrapolate_inverse,
-                               fit_boundary_entropy, fit_boundary_fluct,
-                               fit_bulk_entropy, fit_bulk_fluct,
-                               power_law_exponent)
+                               delta_slope_at_unity, dot_crossover,
+                               extrapolate_inverse, fit_boundary_entropy,
+                               fit_boundary_fluct, fit_bulk_entropy,
+                               fit_bulk_fluct)
 from paritylab.fock import fock_region_observables
 from paritylab.observables import Region, region_observables
 from paritylab.scattering import near_zero_modes
@@ -28,7 +29,7 @@ from paritylab.sweeps import (aspect_region, dot_pair, ladder_region, measure,
 from paritylab.theory import (FLUCT_SERIES_CONSTANT, dilog,
                               effective_central_charge,
                               effective_central_charge_alt,
-                              entropy_slope_integral, perturbative_fluct_slope,
+                              entropy_slope_integral,
                               tabulated_entropy_integral,
                               tabulated_fluct_integral,
                               transmission_coefficient)

@@ -279,7 +279,7 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
     # each refusal quotes its own route's memory: the open-chain tear or a
     # bond-centred ring's mirror sector
     for name, config, gigabytes in (
-            ("open", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[400, 20000]), 2.8),
+            ("open", dict(scenario="ssh-collapse", ratios=[0.8], sizes=[400, 20000]), 1.84),
             ("ring", dict(scenario="impurity-sweep", boundary="periodic", ratios=[0.8],
                           sizes=[20002]), 1.88)):
         cfg = _write_config(tmp_path / f"{name}.json", output=f"{name}.csv", **config)

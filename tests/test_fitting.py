@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from acceptance_tools import curve_sup_distance, power_law_exponent
 from paritylab.fitting import (BulkScalingResult, FitRankError,
                                ParityScalingResult, ScalingSample,
-                               boundary_part, curve_sup_distance,
-                               delta_slope_at_unity, dot_crossover,
-                               extrapolate_inverse, fit_boundary_entropy,
-                               fit_boundary_fluct, fit_bulk_entropy,
-                               fit_bulk_fluct, fit_line, open_chord,
-                               periodic_chord, power_law_exponent)
+                               boundary_part, delta_slope_at_unity,
+                               dot_crossover, extrapolate_inverse,
+                               fit_boundary_entropy, fit_boundary_fluct,
+                               fit_bulk_entropy, fit_bulk_fluct, fit_line,
+                               open_chord, periodic_chord)
 
 SIZES = (96, 128, 176, 240, 320, 432, 576, 768)
 

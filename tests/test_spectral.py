@@ -16,7 +16,7 @@ from paritylab.observables import (Region, charge_fluctuation, entanglement_entr
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
                                 mirror_axis, sublattice_singular_values)
-from paritylab.sweeps import measure
+from paritylab.sweeps import measure, pair_specs
 
 
 def test_open_chain_spectrum_analytic():
@@ -142,6 +142,9 @@ def _check_against_dense(spec, rng):
 
 # (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
 _dbdsdc = spectral._lapack_symbol("dbdsdc", 14)
+# (icompq, nl, nr, sqre, nrhs, b, ldb, bx, ldbx, perm, givptr, givcol, ldgcol,
+#  givnum, ldgnum, poles, difl, difr, z, k, c, s, work, info)
+_dlals0 = spectral._lapack_symbol("dlals0", 24)
 
 
 def _bidiagonal_svd(spec):
@@ -373,17 +376,70 @@ def test_torn_route_failure_names_routine_and_chain_size(routine, monkeypatch):
 
 def test_torn_route_checks_merged_vector_norms(monkeypatch):
     real = spectral._dlasd6
-    for corrupt in (lambda z: z * (1.0 + 1e-9), lambda z: math.nan):
+    # (argument, entries, factor, region length): z_0 enters only the S_V
+    # row of the appended row, which an odd region reads; a relative error e
+    # in the new singular values d (the first K entries of POLES) moves each
+    # S_U column's norm by ~1.5e, through its 1/d_r, and each S_V row's by
+    # ~0.6e, through dsig_p + d_r alone: only the S_U columns' check sees
+    # e = 1.2e-12
+    for argument, entries, factor, region_len in ((19, slice(0, 1), 1.0 + 1e-9, 7),
+                                                  (19, slice(0, 1), math.nan, 7),
+                                                  (16, slice(None), 1.0 + 1.2e-12, 6)):
 
         def dlasd6_drifts(*pointers):
             real(*pointers)
-            # the twentieth argument points at the updated z
-            z = ctypes.c_double.from_address(pointers[19])
-            z.value = corrupt(z.value)
+            # the seventeenth argument points at POLES, the twentieth at the
+            # updated z, the twenty-first at K
+            k = ctypes.c_int.from_address(pointers[20]).value
+            values = np.ctypeslib.as_array((ctypes.c_double * k).from_address(pointers[argument]))
+            values[entries] *= factor
 
         monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
         with pytest.raises(np.linalg.LinAlgError, match="14x14 chain.*norm is off 1"):
-            half_filled_block(homogeneous(14), 7)
+            half_filled_block(homogeneous(14), region_len)
+
+
+@pytest.mark.parametrize("spec, region_len, n_rotations", [
+    # the far-end tear at l = 66 leaves two clean halves whose singular
+    # values coincide: dlasd6 deflates them by 33 rotations
+    *[pytest.param(place_pattern(single_impurity(ratio, 66), 200), 66, 33, id=f"tied-{ratio}")
+      for ratio in (0.5, 1.0, 3.0)],
+    # a 3-bond block across the border at l = L/2 and L/2 + 1
+    *[pytest.param(spec, n // 2 + shift, 0, id=f"half-{n}-{shift}")
+      for n in (240, 480) for shift, spec in enumerate(pair_specs(0.7, n, n // 2, n_imp=3))],
+])
+def test_torn_route_matches_whole_svd(spec, region_len, n_rotations, monkeypatch):
+    real_dlasd6, real_readout = spectral._dlasd6, spectral._merge_readout
+    reference, merges = [], []
+
+    def dlasd6_then_dlals0(*pointers):
+        # V_m U_m^T by LAPACK's dlals0 on the identity, ICOMPQ = 0 then 1,
+        # from dlasd6's factored form (its arguments 11 to 23)
+        real_dlasd6(*pointers)
+        n = ctypes.c_int(pointers[1]._obj.value + pointers[2]._obj.value + 1)
+        factor, bx = np.eye(n.value, order="F"), np.empty((n.value, n.value))
+        work = np.empty(n.value)
+        info = ctypes.c_int()
+        for icompq in (0, 1):
+            _dlals0(ctypes.byref(ctypes.c_int(icompq)), *pointers[1:4], ctypes.byref(n),
+                    factor.ctypes.data, ctypes.byref(n), bx.ctypes.data, ctypes.byref(n),
+                    *pointers[10:23], work.ctypes.data, ctypes.byref(info))
+            assert info.value == 0
+        reference.append(factor)
+
+    monkeypatch.setattr(spectral, "_dlasd6", dlasd6_then_dlals0)
+    monkeypatch.setattr(spectral, "_merge_readout",
+                        lambda *args: merges.append(args) or real_readout(*args))
+    s, f = measure(spec, region_len)
+    s_svd, f_svd = _observables(_dbdsdc_block(spec, region_len))
+    assert abs(s - s_svd) <= 1e-12 and abs(f - f_svd) <= 1e-12
+    # the readout on every row and column, the appended row's and the
+    # deflated ones included, is dlals0's
+    _, _, order, rotations, secular, n_sites = merges[0]
+    assert len(rotations) == n_rotations
+    every = np.arange(order.size)
+    factor = real_readout(every, every, order, rotations, secular, n_sites)
+    assert np.abs(factor - reference[0]).max() <= 1e-14
 
 
 def test_torn_sector_matches_whole_sector():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from acceptance_tools import perturbative_fluct_slope
 from paritylab.chains import place_pattern, single_impurity
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
@@ -12,8 +13,7 @@ from paritylab.theory import (ENTROPY_PLATEAU, FLUCT_PLATEAU,
                               effective_central_charge,
                               effective_central_charge_alt,
                               entropy_parity_slope, entropy_slope_integral,
-                              fluct_parity_slope, perturbative_fluct_slope,
-                              tabulated_entropy_integral,
+                              fluct_parity_slope, tabulated_entropy_integral,
                               tabulated_fluct_integral,
                               transmission_coefficient)
 from paritylab.theory import _entropy_slope_kernel, _entropy_slope_kernel_tail, _quad
