@@ -19,13 +19,15 @@ B^T next to the region's border tears the chain into the region and the
 rest, two independent bidiagonal blocks joined by one appended row.  One
 rank-one secular merge of the two (Gu & Eisenstat, SIAM J. Matrix Anal.
 Appl. 16, 79, 1995), LAPACK's ``dlasd6``, needs only each block's
-singular values and the end components of its right singular vectors,
-closed-form sines for a block without defects and the bidiagonal QR
-``dlasdq`` otherwise.  Both factors of the merge are one Cauchy matrix,
-scaled on each side, so one product of its rows on the poles the region
-meets with themselves reads them out on the region's rows and columns
-alone: Q_A up to orthogonal factors on each side, which change no
-occupation.
+singular values and the end components of its right singular vectors:
+closed-form sines for a block without defects, and otherwise more tears of
+the same kind at the block's defects, whose merges update the end
+components too (``dbdsdc``'s divide and conquer), down to pieces short
+enough for the bidiagonal QR ``dlasdq``.  Both factors of the main merge
+are one Cauchy matrix, scaled on each side, so one product of its rows on
+the poles the region meets with themselves reads them out on the region's
+rows and columns alone: Q_A up to orthogonal factors on each side, which
+change no occupation.
 
 A ring's B has one corner element more.  Every ring a sweep plans has a
 mirror axis through two bonds (see `mirror_axis`), and there the
@@ -146,6 +148,12 @@ _dlaed9 = _lapack_symbol("dlaed9", 13)
 # open chain (dlasd6) or secular eigenvector of a ring (dlaed9); measured
 # <= 1e-14 up to L = 6900 and <= 5e-15 up to L = 6002.
 MERGE_NORM_ATOL = 1e-12
+
+# Open-chain segments of at most this many sites with a defect take
+# ``dlasdq`` whole instead of a tear (`_segment`): near 100 sites the two
+# take the same time, one tear's Python costing ~0.1 ms.  At least 5, so
+# that a torn segment leaves a row or more on either side of the torn row.
+_LEAF_SITES = 96
 
 
 def _lapack(routine, name: str, n_sites: int, *args) -> None:
@@ -286,9 +294,10 @@ def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray
     1..torn-1 (NL x NL+1) and a lower block over torn+1..L (NR x NR);
     the row holds alpha = -t_{torn-1} and beta = -t_torn.  ``dlasd6``
     merges the two from their singular values and the components of their
-    right singular vectors next to the tear (`_segment`) into
-    C = U Sigma V^T with U = diag(U_1, 1, U_2) U_m and V = diag(V_1, V_2) V_m,
-    and returns the merge factors U_m and V_m in factored form.  The
+    right singular vectors next to the tear (`_segment`, which tears a
+    block with defects again, at its defects) into C = U Sigma V^T with
+    U = diag(U_1, 1, U_2) U_m and V = diag(V_1, V_2) V_m, and returns the
+    merge factors U_m and V_m in factored form.  The
     region's rows and columns of U V^T are then U_1 (U_m V_m^T)[rows, cols]
     V_1^T for the upper block, and likewise for the lower one, so the
     region's part of V_m U_m^T has Q_A's singular values.  `_merge_readout`
@@ -299,8 +308,8 @@ def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray
     nl, nr = torn // 2 - 1, (n_sites - torn) // 2
     n = nl + nr + 1
     # each block read from the tear outwards: the upper one backwards
-    sigma_up, end_up = _segment(ratios[:torn - 2][::-1], n_sites)
-    sigma_low, end_low = _segment(ratios[torn:], n_sites)
+    sigma_up, end_up, _ = _segment(ratios[:torn - 2][::-1], n_sites)
+    sigma_low, end_low, _ = _segment(ratios[torn:], n_sites)
     sigma = np.concatenate([sigma_up, [0.0], sigma_low])
     # the upper block's first and the lower block's last components enter
     # only dlasd6's update of them, for a further merge this one never has
@@ -426,34 +435,76 @@ def _check_unit_norm(norms: np.ndarray, n_sites: int, routine: str) -> None:
 
 
 def _segment(ratios: np.ndarray, n_sites: int):
-    """Singular values, ascending, and the first components of the right
-    singular vectors of one block of C: the segment of m sites that these
-    bond ratios join, its first site a column.
+    """Singular values, ascending, and the first and last components of the
+    right singular vectors of one block of C: the segment of m sites that
+    these bond ratios join, its first site a column.
 
     A segment of m = 2k + 1 sites is a k x (k+1) block whose null vector
     comes last; one of m = 2k sites is k x k.  A segment without defects
     is a clean open chain, whose orbital j has E = -+2 cos(theta_j),
     theta_j = pi j / (m + 1), and amplitude sqrt(2 / (m + 1)) sin(theta_j x)
     on site x, half of its weight on the columns except for the zero mode.
-    Other segments take ``dlasdq`` with one column of V^T.
+    A segment with a defect is torn by divide and conquer, as ``dbdsdc``
+    tears a whole B (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79,
+    1995): removing row i leaves an upper piece of 2i + 1 sites and a lower
+    one, each a segment again, and the row holds alpha = -t_{2i} and beta =
+    -t_{2i+1}.  The row next to the middle defect bond is torn, so that
+    bond is alpha or beta, and each defect ends up in a merge row or in a
+    short piece.  ``dlasd6`` merges the pieces from their singular values
+    and both end components, without the factored form (ICOMPQ = 0), and
+    updates those end components into the segment's.  The first and the
+    last row of the segment's orthogonal V must each keep unit norm within
+    MERGE_NORM_ATOL.  A segment of at most _LEAF_SITES sites takes
+    ``dlasdq`` with V^T's first and last columns, which is faster there.
     """
     m = ratios.size + 1
     k, sqre = m // 2, m % 2
-    if np.all(ratios == 1.0):
+    defects = (ratios != 1.0).nonzero()[0]
+    if defects.size == 0:
         j = np.arange(k, 0, -1)
         # cos(theta_j) as a sine: full relative accuracy near the band centre
         sigma = 2.0 * np.sin(0.5 * np.pi * (m + 1 - 2 * j) / (m + 1))
         first = np.empty(k + sqre)
         first[:k] = 2.0 / np.sqrt(m + 1) * np.sin(np.pi * j / (m + 1))
         first[k:] = np.sqrt(2.0 / (m + 1))  # the zero mode, on the columns only
-        return sigma, first
-    sigma, e = _bidiagonal(ratios)
-    first = np.zeros(k + sqre)
-    first[0] = 1.0
-    unused = np.zeros(1)
-    _lapack(_dlasdq, "lasdq", n_sites, b"U", sqre, k, 1, 0, 0, sigma, e, first, k + sqre,
-            unused, 1, unused, 1, np.empty(4 * (k + sqre)))
-    return sigma, first
+        # the last column is site m (odd m), where sin(theta_j x) is
+        # (-1)^(j+1) sin(theta_j), or site m - 1, where it is (-1)^(j+1)
+        # sin(2 theta_j) = (-1)^(j+1) sin(theta_j) sigma_j; the zero mode
+        # (j = k + 1) alternates too
+        last = first.copy() if sqre else first * sigma
+        last[k % 2:k:2] *= -1.0
+        last[k:] *= (-1.0) ** k
+        return sigma, first, last
+    if m <= _LEAF_SITES:
+        sigma, e = _bidiagonal(ratios)
+        ends = np.zeros((k + sqre, 2), order="F")
+        ends[0, 0] = ends[-1, 1] = 1.0
+        unused = np.zeros(1)
+        _lapack(_dlasdq, "lasdq", n_sites, b"U", sqre, k, 2, 0, 0, sigma, e, ends, k + sqre,
+                unused, 1, unused, 1, np.empty(4 * (k + sqre)))
+        return sigma, ends[:, 0], ends[:, 1]
+    nl = min(max(int(defects[defects.size // 2]) // 2, 1), k - 2)
+    nr = k - nl - 1
+    sigma_up, first_up, last_up = _segment(ratios[:2 * nl], n_sites)
+    sigma_low, first_low, last_low = _segment(ratios[2 * nl + 2:], n_sites)
+    sigma = np.concatenate([sigma_up, [0.0], sigma_low])
+    first = np.concatenate([first_up, first_low])
+    last = np.concatenate([last_up, last_low])
+    # each piece's singular values are ascending already
+    idxq = np.concatenate([np.arange(1, nl + 1), [0], np.arange(1, nr + 1)]).astype(np.intc)
+    perm, givptr, givcol = (np.zeros(size, dtype=np.intc) for size in (k, 1, 2 * k))
+    givnum, poles, difr = (np.zeros(2 * k) for _ in range(3))
+    _lapack(_dlasd6, "lasd6", n_sites, 0, nl, nr, sqre, sigma, first, last,
+            np.array([-ratios[2 * nl]]), np.array([-ratios[2 * nl + 1]]), idxq, perm, givptr,
+            givcol, k, givnum, k, poles, np.zeros(k), difr, np.zeros(k + sqre),
+            np.zeros(1, dtype=np.intc), np.zeros(1), np.zeros(1), np.empty(4 * (k + sqre)),
+            np.empty(3 * k, dtype=np.intc))
+    # dlasd6 leaves its own order, which IDXQ sorts; with SQRE = 1 the
+    # merged null vector's components come last
+    order = np.append(idxq - 1, np.arange(k, k + sqre))
+    first, last = first[order], last[order]
+    _check_unit_norm(np.sqrt([first @ first, last @ last]), n_sites, "lasd6")
+    return sigma[order[:k]], first, last
 
 
 def _bidiagonal(ratios: np.ndarray):

@@ -399,6 +399,76 @@ def test_torn_route_checks_merged_vector_norms(monkeypatch):
             half_filled_block(homogeneous(14), region_len)
 
 
+def _random_segment(rng):
+    """Bond ratios of a segment of 2 to 250 sites, either parity, clean or
+    with 1 to 4 defects of ratio 10^U(-3, 3) anywhere: the first and last
+    bond and adjacent pairs drawn often."""
+    m = int(rng.integers(2, 251))
+    ratios = np.ones(m - 1)
+    for _ in range(int(rng.integers(0, 5))):
+        bond = int(rng.choice([0, m - 2, rng.integers(m - 1)]))
+        for b in (bond, bond + 1)[:1 + int(rng.random() < 0.3)]:
+            ratios[min(b, m - 2)] = 10.0 ** rng.uniform(-3.0, 3.0)
+    return ratios
+
+
+@pytest.mark.parametrize("leaf_sites", [5, spectral._LEAF_SITES])
+def test_segment_matches_whole_svd(leaf_sites, monkeypatch):
+    # at 5 sites every segment with a defect is torn down to pieces of at
+    # most 5 sites, the leaves dlasdq takes whole
+    monkeypatch.setattr(spectral, "_LEAF_SITES", leaf_sites)
+    rng = np.random.default_rng(79)
+    for _ in range(200):
+        ratios = _random_segment(rng)
+        m = ratios.size + 1
+        k, sqre = m // 2, m % 2
+        sigma, first, last = spectral._segment(ratios, 2 * m)
+        # the segment's block of C, k x (k + sqre) upper bidiagonal
+        d, e = spectral._bidiagonal(ratios)
+        block = np.zeros((k, k + sqre))
+        block[np.arange(k), np.arange(k)] = d
+        block[np.arange(k + sqre - 1), np.arange(1, k + sqre)] = e[:k + sqre - 1]
+        _, sigma_ref, vt = np.linalg.svd(block)
+        scale = max(1.0, sigma_ref[0])
+        assert np.abs(sigma - sigma_ref[::-1]).max() <= 1e-14 * scale
+        # each vector's first and last components up to one common sign,
+        # where sigma is not tied, and always the null vector's (odd m)
+        ends_ref = np.concatenate([vt[:k][::-1], vt[k:]])[:, [0, -1]]
+        ends = np.stack([first, last], axis=1)
+        gaps = np.diff(np.concatenate([[-np.inf], sigma_ref[::-1], [np.inf]]))
+        untied = np.append(np.minimum(gaps[:-1], gaps[1:]) > 1e-3 * scale, np.ones(sqre, bool))
+        big = np.argmax(np.abs(ends_ref), axis=1)[:, None]
+        signs = (np.sign(np.take_along_axis(ends_ref, big, axis=1))
+                 * np.sign(np.take_along_axis(ends, big, axis=1)))
+        assert np.abs(ends * signs - ends_ref)[untied].max() <= 5e-12
+
+
+def test_segment_checks_merged_end_norms(monkeypatch):
+    # each half of this chain holds one bond of the 3-bond block, next to
+    # the tear, and is longer than _LEAF_SITES, so both are torn: their
+    # merges' first (VF, the sixth argument) and last (VL, the seventh)
+    # components must each keep unit norm
+    spec = pair_specs(0.7, 400, 200, n_imp=3)[1]
+    real = spectral._dlasd6
+    for argument, entries, factor in ((5, slice(None), 1.0 + 1e-9), (6, slice(None), 1.0 + 1e-9),
+                                      (5, slice(0, 1), math.nan), (6, slice(0, 1), math.nan)):
+
+        def dlasd6_drifts(*pointers):
+            real(*pointers)
+            # only the merges inside a half (ICOMPQ = 0); VF and VL hold
+            # NL + NR + 1 + SQRE entries
+            icompq, nl, nr, sqre = (p._obj.value for p in pointers[:4])
+            if icompq == 0:
+                values = np.ctypeslib.as_array(
+                    (ctypes.c_double * (nl + nr + 1 + sqre)).from_address(pointers[argument]))
+                values[entries] *= factor
+
+        monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
+        with pytest.raises(np.linalg.LinAlgError, match="lasd6 merge failed on 400x400 chain.*"
+                                                        "norm is off 1"):
+            half_filled_block(spec, 201)
+
+
 @pytest.mark.parametrize("spec, region_len, n_rotations", [
     # the far-end tear at l = 66 leaves two clean halves whose singular
     # values coincide: dlasd6 deflates them by 33 rotations
@@ -410,12 +480,17 @@ def test_torn_route_checks_merged_vector_norms(monkeypatch):
 ])
 def test_torn_route_matches_whole_svd(spec, region_len, n_rotations, monkeypatch):
     real_dlasd6, real_readout = spectral._dlasd6, spectral._merge_readout
-    reference, merges = [], []
+    reference, merges, factored = [], [], []
 
     def dlasd6_then_dlals0(*pointers):
         # V_m U_m^T by LAPACK's dlals0 on the identity, ICOMPQ = 0 then 1,
-        # from dlasd6's factored form (its arguments 11 to 23)
+        # from dlasd6's factored form (its arguments 11 to 23).  Only the
+        # main merge asks for that form (ICOMPQ = 1); the merges inside a
+        # torn half (`_segment`) pass straight through
         real_dlasd6(*pointers)
+        factored.append(pointers[0]._obj.value == 1)
+        if not factored[-1]:
+            return
         n = ctypes.c_int(pointers[1]._obj.value + pointers[2]._obj.value + 1)
         factor, bx = np.eye(n.value, order="F"), np.empty((n.value, n.value))
         work = np.empty(n.value)
@@ -431,6 +506,8 @@ def test_torn_route_matches_whole_svd(spec, region_len, n_rotations, monkeypatch
     monkeypatch.setattr(spectral, "_merge_readout",
                         lambda *args: merges.append(args) or real_readout(*args))
     s, f = measure(spec, region_len)
+    # the main merge is the last dlasd6 call
+    assert factored.count(True) == 1 and factored[-1]
     s_svd, f_svd = _observables(_dbdsdc_block(spec, region_len))
     assert abs(s - s_svd) <= 1e-12 and abs(f - f_svd) <= 1e-12
     # the readout on every row and column, the appended row's and the
