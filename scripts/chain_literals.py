@@ -21,6 +21,11 @@ CHAINS = [
     ("open", 42, 21, 1, "1e8", 21),
     ("open", 42, 9, 1, "1e6", 20),     # inside the region
     ("open", 42, 31, 1, "1e-2", 21),   # in the rest
+    ("open", 42, 9, 1, "1e-4", 20),    # inside the region, below the ratios
+    ("open", 42, 9, 1, "1e3", 20),     # of 3e4 to 1e5 where the open tear
+    ("open", 42, 9, 1, "1e4", 20),     # loses digits (ROADMAP item 2)
+    ("open", 42, 41, 1, "1e6", 40),    # the last bond, in the end block of
+    ("open", 42, 41, 1, "1e-2", 40),   # a region two sites short of the end
     ("open", 40, 18, 3, "4", 20),      # a block centred on the border bond
     ("open", 40, 19, 3, "1e2", 21),
     ("periodic", 42, 20, 1, "1e8", 20),

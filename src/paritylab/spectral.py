@@ -14,20 +14,21 @@ has diagonal blocks I/2 and off-diagonal block -Q/2 (Peschel, J. Phys. A
 36, L205, 2003), and a region is fixed by its own sublattice block Q_A.
 On an open chain B is lower bidiagonal and Q = U V^T follows from
 B = U Sigma V^T alone (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205,
-1965).  A region needs far less than the whole SVD: removing the row of
-B^T next to the region's border tears the chain into the region and the
-rest, two independent bidiagonal blocks joined by one appended row.  One
-rank-one secular merge of the two (Gu & Eisenstat, SIAM J. Matrix Anal.
-Appl. 16, 79, 1995), LAPACK's ``dlasd6``, needs only each block's
-singular values and the end components of its right singular vectors:
-closed-form sines for a block without defects, and otherwise more tears of
-the same kind at the block's defects, whose merges update the end
-components too (``dbdsdc``'s divide and conquer), down to pieces short
-enough for the bidiagonal QR ``dlasdq``.  Both factors of the main merge
-are one Cauchy matrix, scaled on each side, so one product of its rows on
-the poles the region meets with themselves reads them out on the region's
-rows and columns alone: Q_A up to orthogonal factors on each side, which
-change no occupation.
+1965).  Open chains take one divide and conquer, ``dbdsdc``'s (Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79, 1995): removing a row of
+B^T tears a chain into two independent bidiagonal blocks, and one
+rank-one secular merge, LAPACK's ``dlasd6``, joins them from each block's
+singular values and the end components of its right singular vectors.
+Those are closed-form sines for a block without defects; a block with
+defects is torn again at them, its merge updating the end components, down
+to pieces short enough for the bidiagonal QR ``dlasdq``.  A region needs
+far less than the whole SVD.  The tear next to its border splits off the
+region, and both factors of that merge are one Cauchy matrix, scaled on
+each side, so one product of its rows on the poles the region meets with
+themselves reads them out on the region's rows and columns alone: Q_A up
+to orthogonal factors on each side, which change no occupation.  A region
+within two sites of an end needs no tear: the untorn chain's singular
+values and first components give its one entry.
 
 A ring's B has one corner element more.  Every ring a sweep plans has a
 mirror axis through two bonds (see `mirror_axis`), and there the
@@ -286,59 +287,29 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
 
 def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray:
     """Q_A of a half-filled open chain up to orthogonal factors on each
-    side, from a tear of C = B^T at row `torn`, the even site next to the
+    side, from the tear of C = B^T at row `torn`, the even site next to the
     region's border, with the region before it (region_first) or after it.
 
-    C is upper bidiagonal, rows on even sites and columns on odd ones.
-    Without row `torn` it splits into an upper block over sites
-    1..torn-1 (NL x NL+1) and a lower block over torn+1..L (NR x NR);
-    the row holds alpha = -t_{torn-1} and beta = -t_torn.  ``dlasd6``
-    merges the two from their singular values and the components of their
-    right singular vectors next to the tear (`_segment`, which tears a
-    block with defects again, at its defects) into C = U Sigma V^T with
-    U = diag(U_1, 1, U_2) U_m and V = diag(V_1, V_2) V_m, and returns the
-    merge factors U_m and V_m in factored form.  The
-    region's rows and columns of U V^T are then U_1 (U_m V_m^T)[rows, cols]
-    V_1^T for the upper block, and likewise for the lower one, so the
-    region's part of V_m U_m^T has Q_A's singular values.  `_merge_readout`
-    forms it from dlasd6's poles and z alone, through one Cauchy block of
-    the poles the region meets, without U_m or V_m.
+    This is `_merge` of the whole chain at row torn/2 - 1: the upper block
+    over sites 1..torn-1 (NL x NL+1) and the lower one over torn+1..L
+    (NR x NR), joined by the row that holds alpha = -t_{torn-1} and beta =
+    -t_torn, into C = U Sigma V^T with U = diag(U_1, 1, U_2) U_m and V =
+    diag(V_1, V_2) V_m, the merge factors U_m and V_m in factored form.
+    The region's rows and columns of U V^T are then U_1 (U_m
+    V_m^T)[rows, cols] V_1^T for the upper block, and likewise for the
+    lower one, so the region's part of V_m U_m^T has Q_A's singular values.
+    `_merge_readout` forms it from dlasd6's poles and z alone, through one
+    Cauchy block of the poles the region meets, without U_m or V_m.
     """
     n_sites = ratios.size + 1
-    nl, nr = torn // 2 - 1, (n_sites - torn) // 2
-    n = nl + nr + 1
-    # each block read from the tear outwards: the upper one backwards
-    sigma_up, end_up, _ = _segment(ratios[:torn - 2][::-1], n_sites)
-    sigma_low, end_low, _ = _segment(ratios[torn:], n_sites)
-    sigma = np.concatenate([sigma_up, [0.0], sigma_low])
-    # the upper block's first and the lower block's last components enter
-    # only dlasd6's update of them, for a further merge this one never has
-    first = np.concatenate([np.zeros(nl + 1), end_low])
-    last = np.concatenate([end_up, np.zeros(nr)])
-    alpha = np.array([-ratios[torn - 2]])
-    beta = np.array([-ratios[torn - 1]])
-    # each block's singular values are ascending already
-    idxq = np.concatenate([np.arange(1, nl + 1), [0], np.arange(1, nr + 1)]).astype(np.intc)
-    perm, givptr, givcol, k = (np.zeros(size, dtype=np.intc) for size in (n, 1, 2 * n, 1))
-    givnum, poles, difr = (np.zeros(2 * n) for _ in range(3))
-    difl, z = np.zeros(n), np.zeros(n)
-    _lapack(_dlasd6, "lasd6", n_sites, 1, nl, nr, 0, sigma, first, last, alpha, beta,
-            idxq, perm, givptr, givcol, n, givnum, n, poles, difl, difr, z, k,
-            np.zeros(1), np.zeros(1), np.empty(4 * n), np.empty(3 * n, dtype=np.intc))
+    nl = torn // 2 - 1
+    sigma, _, _, _, (order, rotations, secular) = _merge(ratios, nl, n_sites, 1)
     # H has eigenvalues -+sigma, and half filling fills the lower L/2
     _check_gap(2.0 * sigma.min(), 2.0 * sigma.max(), n_sites // 2, n_sites)
-    k = int(k[0])
-    # GIVCOL, GIVNUM, POLES and DIFR are n x 2, column-major; dlals0
-    # rotates row GIVCOL(g, 2) against GIVCOL(g, 1) by GIVNUM(g, 2:1)
-    rotations = [(givcol[n + g] - 1, givcol[g] - 1, givnum[n + g], givnum[g])
-                 for g in range(givptr[0])]
-    # the merged problem's row order: the appended row, then PERM(2:n)
-    order = np.concatenate([[nl], perm[1:] - 1])
-    secular = (poles[:k], poles[n:n + k], difl[:k], difr[:k], difr[n:n + k], z[:k])
     if region_first:
         rows_in, rows_out = np.arange(nl), np.arange(nl + 1)
     else:
-        rows_in = rows_out = np.arange(nl + 1, n)
+        rows_in = rows_out = np.arange(nl + 1, order.size)
     return _merge_readout(rows_in, rows_out, order, rotations, secular, n_sites)
 
 
@@ -444,18 +415,14 @@ def _segment(ratios: np.ndarray, n_sites: int):
     is a clean open chain, whose orbital j has E = -+2 cos(theta_j),
     theta_j = pi j / (m + 1), and amplitude sqrt(2 / (m + 1)) sin(theta_j x)
     on site x, half of its weight on the columns except for the zero mode.
-    A segment with a defect is torn by divide and conquer, as ``dbdsdc``
-    tears a whole B (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79,
-    1995): removing row i leaves an upper piece of 2i + 1 sites and a lower
-    one, each a segment again, and the row holds alpha = -t_{2i} and beta =
-    -t_{2i+1}.  The row next to the middle defect bond is torn, so that
-    bond is alpha or beta, and each defect ends up in a merge row or in a
-    short piece.  ``dlasd6`` merges the pieces from their singular values
-    and both end components, without the factored form (ICOMPQ = 0), and
-    updates those end components into the segment's.  The first and the
-    last row of the segment's orthogonal V must each keep unit norm within
-    MERGE_NORM_ATOL.  A segment of at most _LEAF_SITES sites takes
-    ``dlasdq`` with V^T's first and last columns, which is faster there.
+    A segment with a defect is torn by `_merge`, as ``dbdsdc`` tears a
+    whole B, at the row next to its middle defect bond, so that bond is
+    alpha or beta, and each defect ends up in a merge row or in a short
+    piece; the merge updates the pieces' end components into the segment's
+    (ICOMPQ = 0).  The first and the last row of the segment's orthogonal
+    V must each keep unit norm within MERGE_NORM_ATOL.  A segment of at
+    most _LEAF_SITES sites takes ``dlasdq`` with V^T's first and last
+    columns, which is faster there.
     """
     m = ratios.size + 1
     k, sqre = m // 2, m % 2
@@ -484,7 +451,33 @@ def _segment(ratios: np.ndarray, n_sites: int):
                 unused, 1, unused, 1, np.empty(4 * (k + sqre)))
         return sigma, ends[:, 0], ends[:, 1]
     nl = min(max(int(defects[defects.size // 2]) // 2, 1), k - 2)
-    nr = k - nl - 1
+    sigma, first, last, idxq, _ = _merge(ratios, nl, n_sites, 0)
+    # dlasd6 leaves its own order, which IDXQ sorts; with SQRE = 1 the
+    # merged null vector's components come last
+    order = np.append(idxq - 1, np.arange(k, k + sqre))
+    first, last = first[order], last[order]
+    _check_unit_norm(np.sqrt([first @ first, last @ last]), n_sites, "lasd6")
+    return sigma[order[:k]], first, last
+
+
+def _merge(ratios: np.ndarray, nl: int, n_sites: int, icompq: int):
+    """One divide-and-conquer step, as ``dbdsdc`` takes it (Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 16, 79, 1995), on the block of C of the
+    segment these bond ratios join (`_segment`): removing its row nl leaves
+    an upper piece of 2 nl + 1 sites and the rest, each a `_segment`, and
+    the row holds alpha = -t_{2nl+1} and beta = -t_{2nl+2}.  ``dlasd6``
+    merges the pieces from their singular values and end components.
+
+    Returns dlasd6's D (unsorted), VF and VL (the merged first and last
+    components, in D's order) and IDXQ (1-based, sorting D), and with
+    icompq = 1 the factored form that `_merge_readout` takes: the merged
+    problem's row order, its Givens rotations and the secular tuple (d,
+    dsig, DIFL, DIFR(:, 1), DIFR(:, 2), z) of its K roots (None with
+    icompq = 0).
+    """
+    m = ratios.size + 1
+    n, sqre = m // 2, m % 2
+    nr = n - nl - 1
     sigma_up, first_up, last_up = _segment(ratios[:2 * nl], n_sites)
     sigma_low, first_low, last_low = _segment(ratios[2 * nl + 2:], n_sites)
     sigma = np.concatenate([sigma_up, [0.0], sigma_low])
@@ -492,19 +485,24 @@ def _segment(ratios: np.ndarray, n_sites: int):
     last = np.concatenate([last_up, last_low])
     # each piece's singular values are ascending already
     idxq = np.concatenate([np.arange(1, nl + 1), [0], np.arange(1, nr + 1)]).astype(np.intc)
-    perm, givptr, givcol = (np.zeros(size, dtype=np.intc) for size in (k, 1, 2 * k))
-    givnum, poles, difr = (np.zeros(2 * k) for _ in range(3))
-    _lapack(_dlasd6, "lasd6", n_sites, 0, nl, nr, sqre, sigma, first, last,
+    perm, givptr, givcol, k = (np.zeros(size, dtype=np.intc) for size in (n, 1, 2 * n, 1))
+    givnum, poles, difr = (np.zeros(2 * n) for _ in range(3))
+    difl, z = np.zeros(n), np.zeros(n + sqre)
+    _lapack(_dlasd6, "lasd6", n_sites, icompq, nl, nr, sqre, sigma, first, last,
             np.array([-ratios[2 * nl]]), np.array([-ratios[2 * nl + 1]]), idxq, perm, givptr,
-            givcol, k, givnum, k, poles, np.zeros(k), difr, np.zeros(k + sqre),
-            np.zeros(1, dtype=np.intc), np.zeros(1), np.zeros(1), np.empty(4 * (k + sqre)),
-            np.empty(3 * k, dtype=np.intc))
-    # dlasd6 leaves its own order, which IDXQ sorts; with SQRE = 1 the
-    # merged null vector's components come last
-    order = np.append(idxq - 1, np.arange(k, k + sqre))
-    first, last = first[order], last[order]
-    _check_unit_norm(np.sqrt([first @ first, last @ last]), n_sites, "lasd6")
-    return sigma[order[:k]], first, last
+            givcol, n, givnum, n, poles, difl, difr, z, k, np.zeros(1), np.zeros(1),
+            np.empty(4 * (n + sqre)), np.empty(3 * n, dtype=np.intc))
+    if not icompq:
+        return sigma, first, last, idxq, None
+    k = int(k[0])
+    # GIVCOL, GIVNUM, POLES and DIFR are n x 2, column-major; dlals0
+    # rotates row GIVCOL(g, 2) against GIVCOL(g, 1) by GIVNUM(g, 2:1)
+    rotations = [(givcol[n + g] - 1, givcol[g] - 1, givnum[n + g], givnum[g])
+                 for g in range(givptr[0])]
+    # the merged problem's row order: the appended row, then PERM(2:n)
+    order = np.concatenate([[nl], perm[1:] - 1])
+    secular = (poles[:k], poles[n:n + k], difl[:k], difr[:k], difr[n:n + k], z[:k])
+    return sigma, first, last, idxq, (order, rotations, secular)
 
 
 def _bidiagonal(ratios: np.ndarray):
@@ -520,20 +518,16 @@ def _end_block(ratios: np.ndarray, m: int) -> np.ndarray:
     """Sublattice block, shape (ceil(m/2), floor(m/2)), of the first m <= 2
     sites of a half-filled open chain, with the Fermi-gap check.
 
-    ``dlasdq`` on the whole C gives its singular values and, for m = 2,
-    the first rows of U and V, whose product is the one entry
-    (U V^T)[site 2, site 1].
+    `_segment` of the whole chain gives C = U Sigma V^T's singular values
+    and the first row of V.  Site 1 is joined to site 2 alone, so C's
+    first column is -t_1 e_1 and the row of site 1 in C^T U = V Sigma reads
+    -t_1 U[site 2, j] = sigma_j V[site 1, j]: the one entry (U V^T)[site 2,
+    site 1] for m = 2 is sum_j sigma_j V[site 1, j]^2 / (-t_1).
     """
     n_sites = ratios.size + 1
-    n = n_sites // 2
-    sigma, e = _bidiagonal(ratios)
-    vt = np.zeros((n, 1), order="F")
-    u = np.zeros((1, n), order="F")
-    vt[0, 0] = u[0, 0] = 1.0
-    _lapack(_dlasdq, "lasdq", n_sites, b"U", 0, n, m // 2, m // 2, 0, sigma, e, vt, n,
-            u, 1, np.zeros(1), 1, np.empty(4 * n))
-    _check_gap(2.0 * sigma.min(), 2.0 * sigma.max(), n, n_sites)
-    return np.full(((m + 1) // 2, m // 2), u[0] @ vt[:, 0])
+    sigma, first, _ = _segment(ratios, n_sites)
+    _check_gap(2.0 * sigma.min(), 2.0 * sigma.max(), n_sites // 2, n_sites)
+    return np.full(((m + 1) // 2, m // 2), sigma @ first ** 2 / -ratios[0])
 
 
 def _bond_axis_block(ratios: np.ndarray, axis: int, region_len: int) -> np.ndarray:

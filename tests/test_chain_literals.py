@@ -3,7 +3,10 @@
 The references are mpmath's `eigsy` of H and of the region's correlation
 block at 50 and 70 digits (scripts/chain_literals.py): open chains and
 bond-centred rings with one bond or a 3-bond block at the region's border,
-inside the region and in the rest, at ratios from 1e-8 to 1e8.
+inside the region and in the rest, and open chains whose last bond is in
+the end block of a region two sites short of the end, at ratios from 1e-8
+to 1e8.  The open tear loses digits at ratios 3e4 to 1e5 off the region's
+border (ROADMAP item 2), so the set holds none there yet.
 """
 
 import pytest
@@ -26,6 +29,21 @@ CHAINS = [
     ("open", 42, 31, 1, 1e-2, 21,
      1.157912666256932939554771874559960072887,
      0.36449551269636699262154813251914366296),
+    ("open", 42, 9, 1, 1e-4, 20,
+     1.192449620432661062670671202325817996962,
+     0.3794949140731303097830726663975893564246),
+    ("open", 42, 9, 1, 1e3, 20,
+     0.8135582018194725134051287598653370982008,
+     0.2368623092836142585823674467153793282713),
+    ("open", 42, 9, 1, 1e4, 20,
+     0.8135580738624835100360595936524738273837,
+     0.236862265517066599350142119782656678557),
+    ("open", 42, 41, 1, 1e6, 40,
+     0.0000000000150086330897953589937850592191485302959,
+     4.999991505509280138501115892731150176621e-13),
+    ("open", 42, 41, 1, 1e-2, 40,
+     1.329956665986489127349006764993042180758,
+     0.4720966575157889295542340857579710554718),
     ("open", 40, 18, 3, 4, 20,
      1.385235035954240786902857552202721106314,
      0.499142803209970281839214975653311833401),

@@ -11,8 +11,7 @@ from paritylab import spectral
 from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
                               dot_impurity, homogeneous, place_pattern,
                               single_impurity)
-from paritylab.observables import (Region, charge_fluctuation, entanglement_entropy,
-                                   region_observables, sublattice_occupations)
+from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
                                 mirror_axis, sublattice_singular_values)
@@ -173,8 +172,18 @@ def _dbdsdc_block(spec, region_len):
 
 
 def _observables(q_a):
-    nu = sublattice_occupations(q_a)
-    return entanglement_entropy(nu), charge_fluctuation(nu)
+    """S and F of a half-filled region from its sublattice block, apart
+    from `observables.sublattice_occupations`: each singular value sigma of
+    Q_A is a pair of modes nu = (1 -+ sigma)/2, which add -[nu ln nu + (1 -
+    nu) ln(1 - nu)] to S and nu (1 - nu) to F, and each row or column past
+    Q_A's shorter side an unpaired mode at 1/2, adding ln 2 and 1/4."""
+    sigma = np.clip(np.linalg.svd(q_a, compute_uv=False), 0.0, 1.0)
+    unpaired = abs(q_a.shape[0] - q_a.shape[1])
+    low, high = (1.0 - sigma) / 2.0, (1.0 + sigma) / 2.0
+    mixed = low > 0.0
+    pairs = low[mixed] * np.log(low[mixed]) + high[mixed] * np.log(high[mixed])
+    return (-2.0 * np.sum(pairs) + unpaired * math.log(2.0),
+            2.0 * np.sum(low * high) + unpaired / 4.0)
 
 
 def _check_sublattice_svd(spec, energies):
@@ -344,8 +353,10 @@ def _lapack_fails(*pointers):
     pytest.param(homogeneous(14), diagonalize, "eigh", id="open"),
     pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7), "lasd6",
                  id="open-half-filled"),
-    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 13), "lasdq",
-                 id="open-half-filled-end"),
+    # a clean chain's end block takes the closed form; this one's first bond
+    # from the far end has a defect, so its `_segment` reaches dlasdq
+    pytest.param(ChainSpec(14, "open", ((13, 0.5),)), lambda spec: half_filled_block(spec, 13),
+                 "lasdq", id="open-half-filled-end"),
     pytest.param(homogeneous(14), sublattice_singular_values, "lasdq",
                  id="sublattice-singular-values"),
     pytest.param(homogeneous(14, "periodic"), diagonalize, "eigh", id="periodic"),
