@@ -80,11 +80,10 @@ def sublattice_occupations(q_a: np.ndarray) -> np.ndarray:
 
 
 def _checked(nu: np.ndarray) -> np.ndarray:
-    # written so that NaN fails too
-    if not (nu.min() >= -OCCUPATION_ATOL and nu.max() <= 1.0 + OCCUPATION_ATOL):
-        raise ValueError(
-            f"occupations outside [0, 1]: min {nu.min():.3e}, max {nu.max():.3e}"
-        )
+    # written so that NaN fails too; a region with no mode passes
+    low, high = nu.min(initial=0.0), nu.max(initial=1.0)
+    if not (low >= -OCCUPATION_ATOL and high <= 1.0 + OCCUPATION_ATOL):
+        raise ValueError(f"occupations outside [0, 1]: min {low:.3e}, max {high:.3e}")
     return np.clip(nu, 0.0, 1.0)
 
 

@@ -26,9 +26,12 @@ far less than the whole SVD.  The tear next to its border splits off the
 region, and both factors of that merge are one Cauchy matrix, scaled on
 each side, so one product of its rows on the poles the region meets with
 themselves reads them out on the region's rows and columns alone: Q_A up
-to orthogonal factors on each side, which change no occupation.  A region
-within two sites of an end needs no tear: the untorn chain's singular
-values and first components give its one entry.
+to orthogonal factors on each side, which change no occupation.  The
+ground state is pure, so a region and its complement have the same
+occupations other than 0 and 1: the shorter of the two is read, the
+complement from the reversed chain.  A side with no row to tear on one
+side of its border needs no tear: the untorn chain's singular values and
+first components give its one entry.
 
 A ring's B has one corner element more.  Every ring a sweep plans has a
 mirror axis through two bonds (see `mirror_axis`), and there the
@@ -216,15 +219,18 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
     even ones: G_A = 1/2 [[I, -Q_A], [-Q_A^T, I]] in (odd sites, even
     sites) order (module docstring).  Two routes, picked from the chain:
 
-    - open chains: the tear at the region's border of `_torn_block`,
-      which returns W = O_1 Q_A O_2 with O_1 and O_2 orthogonal, not Q_A
-      itself: Q_A up to orthogonal factors on each side.  W has Q_A's
+    - open chains: the block of the shorter side, the region or its
+      complement, s = min(l, L - l) sites: the ground state is pure, so
+      both sides have the same occupations other than 0 and 1, and the
+      unpaired count |a - b| = s mod 2 is the region's.  The complement is
+      the first s sites of the reversed chain.  The tear at that side's
+      border, `_torn_block`, returns W = O_1 Q_s O_2 with O_1 and O_2
+      orthogonal: Q_s up to orthogonal factors on each side.  W has Q_s's
       singular values, the only thing `observables.sublattice_occupations`
-      reads, and comes from one product of a Cauchy block of l/2 x L/2
-      with itself, in O(L^2 + l^2 L) time and O(l L) memory, where Q_A
-      itself would need the whole SVD of B.  A region of one site, or one
-      ending within two sites of the far end, leaves no row to tear on one
-      side and takes `_end_block`;
+      reads, and comes from one product of a Cauchy block of s/2 x L/2
+      with itself, in O(L^2 + s^2 L) time and O(s L) memory, where Q_s
+      itself would need the whole SVD of B.  A side that leaves no row to
+      tear on one side, one site or none past L = 4, takes `_end_block`;
     - rings whose mirror axis runs through two bonds (odd axis c, as on
       every ring a sweep plans): Q_A = V[r_odd] diag(sign E) V[r_even]^T
       from the eigenvalues E of the even mirror sector and the rows r of
@@ -238,7 +244,8 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (ceil(region_len / 2), floor(region_len / 2))
+    ndarray, shape (ceil(s / 2), floor(s / 2)), s = min(l, L - l) on an
+        open chain and l on a ring
 
     Raises
     ------
@@ -268,21 +275,17 @@ def half_filled_block(spec: ChainSpec, region_len: int) -> np.ndarray:
                              f"bonds ({'none' if axis is None else f'only axis {axis}'})")
         return _bond_axis_block(ratios, axis, region_len)
     n = spec.n_sites
-    # the even site next to the region's border: l + 1 for odd l; an even
-    # region is read from the chain's far end, where site l + 1 is L - l
-    odd = region_len % 2 == 1
-    torn = region_len + 1 if odd else n - region_len
+    # the shorter side s, the complement as the reversed chain's first
+    # sites; the even site next to its border is s + 1 for odd s, and an
+    # even side is read from the chain's far end, where site s + 1 is L - s
+    short = min(region_len, n - region_len)
+    if short < region_len:
+        ratios = ratios[::-1]
+    odd = short % 2 == 1
+    torn = short + 1 if odd else n - short
     if 4 <= torn <= n - 2:
         return _torn_block(ratios if odd else ratios[::-1], torn, odd)
-    # a pure state: the region's occupations other than 0 and 1 are those
-    # of its complement, the L - l sites at the far end; the shorter of the
-    # two has at most two sites, and each site more adds a singular value 1
-    short = min(region_len, n - region_len)
-    w = _end_block(ratios if short == region_len else ratios[::-1], short)
-    pad = region_len // 2 - short // 2
-    q_a = np.eye((region_len + 1) // 2, region_len // 2)
-    q_a[pad:, pad:] = w
-    return q_a
+    return _end_block(ratios, short)
 
 
 def _torn_block(ratios: np.ndarray, torn: int, region_first: bool) -> np.ndarray:
@@ -516,7 +519,9 @@ def _bidiagonal(ratios: np.ndarray):
 
 def _end_block(ratios: np.ndarray, m: int) -> np.ndarray:
     """Sublattice block, shape (ceil(m/2), floor(m/2)), of the first m <= 2
-    sites of a half-filled open chain, with the Fermi-gap check.
+    sites of a half-filled open chain, with the Fermi-gap check: the side
+    of a region that `half_filled_block` reads when it leaves no row to
+    tear on one side of its border.
 
     `_segment` of the whole chain gives C = U Sigma V^T's singular values
     and the first row of V.  Site 1 is joined to site 2 alone, so C's

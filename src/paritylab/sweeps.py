@@ -25,7 +25,8 @@ from .spectral import half_filled_block
 
 def measure(spec: ChainSpec, region_len: int) -> tuple[float, float]:
     """Entropy and number fluctuation of the first region_len sites at
-    half filling, from the region's sublattice block Q_A
+    half filling, from the sublattice block of the region, or of its
+    complement on an open chain where that is shorter
     (`spectral.half_filled_block`)."""
     nu = sublattice_occupations(half_filled_block(spec, region_len))
     return entanglement_entropy(nu), charge_fluctuation(nu)

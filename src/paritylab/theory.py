@@ -19,19 +19,6 @@ import math
 
 import numpy as np
 
-EULER_GAMMA = 0.5772156649015329
-
-# Plateau of the even/odd entropy difference for a vanishing-transmission
-# defect: the odd subsystem keeps a half-occupied zero mode, the even one
-# decouples cleanly.
-ENTROPY_PLATEAU = math.log(2.0)
-FLUCT_PLATEAU = 0.25
-
-# Constant term of the number-fluctuation expansion of a defect-free
-# chain, (1 + Euler gamma + ln 2) / pi^2.  An open boundary contributes
-# half of it.
-FLUCT_SERIES_CONSTANT = (1.0 + EULER_GAMMA + math.log(2.0)) / math.pi**2
-
 # Tanh-sinh (double-exponential) rule of Takahasi and Mori, Publ. RIMS 9,
 # 721 (1974): x = (1 + tanh(pi/2 sinh t)) / 2 maps the t axis onto (0, 1)
 # with weights that fall off doubly exponentially, so the ln x endpoint

@@ -1,7 +1,8 @@
-"""Fits and perturbation theory that only the acceptance tests use: the
-clean decay exponent of c02, the distance between crossover curves of c09
-and the first-order lattice slope of c10.  Their own tests are in
-test_fitting.py and test_theory.py."""
+"""Fits, perturbation theory and a series constant that only the
+acceptance tests use: the clean decay exponent of c02, the distance
+between crossover curves of c09, the first-order lattice slope of c10 and
+the fluctuation constant of c11.  Their own tests are in test_fitting.py
+and test_theory.py."""
 
 import math
 from collections.abc import Sequence
@@ -9,6 +10,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from paritylab.fitting import CrossoverCurve, fit_line
+
+EULER_GAMMA = 0.5772156649015329
+
+# Constant term of the number-fluctuation expansion of a defect-free
+# chain, (1 + Euler gamma + ln 2) / pi^2.  An open boundary contributes
+# half of it.
+FLUCT_SERIES_CONSTANT = (1.0 + EULER_GAMMA + math.log(2.0)) / math.pi**2
 
 
 def power_law_exponent(x: Sequence[float], y: Sequence[float]) -> float:

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from acceptance_tools import (curve_sup_distance, perturbative_fluct_slope,
-                              power_law_exponent)
+from acceptance_tools import (FLUCT_SERIES_CONSTANT, curve_sup_distance,
+                              perturbative_fluct_slope, power_law_exponent)
 from paritylab.chains import (alternating_block, dot_impurity, place_pattern,
                               single_impurity)
 from paritylab.fitting import (ScalingSample, boundary_part,
@@ -26,8 +26,7 @@ from paritylab.scattering import near_zero_modes
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
 from paritylab.sweeps import (aspect_region, dot_pair, ladder_region, measure,
                               pair_specs, size_ladder)
-from paritylab.theory import (FLUCT_SERIES_CONSTANT, dilog,
-                              effective_central_charge,
+from paritylab.theory import (dilog, effective_central_charge,
                               effective_central_charge_alt,
                               entropy_slope_integral,
                               tabulated_entropy_integral,

@@ -4,8 +4,8 @@ The references are mpmath's `eigsy` of H and of the region's correlation
 block at 50 and 70 digits (scripts/chain_literals.py): open chains and
 bond-centred rings with one bond or a 3-bond block at the region's border,
 inside the region and in the rest, and open chains whose last bond is in
-the end block of a region two sites short of the end, at ratios from 1e-8
-to 1e8.  The open tear loses digits at ratios 3e4 to 1e5 off the region's
+the two-site complement of a region two sites short of the end, which is
+read in its place, torn at its border, at ratios from 1e-8 to 1e8.  The open tear loses digits at ratios 3e4 to 1e5 off the region's
 border (ROADMAP item 2), so the set holds none there yet.
 """
 

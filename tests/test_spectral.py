@@ -232,8 +232,9 @@ def _check_every_region(spec):
 
 def test_open_chain_every_region_on_short_chains():
     # the clean chain and every pattern position at a weak and a strong
-    # ratio, with the tear's edges: no row on one side (l = 1, L - 2,
-    # L - 1, L) and chains of fewer than 6 sites
+    # ratio, with the tear's edges: a side of one site or none (l = 1,
+    # L - 1, L), two-site sides (l = 2, L - 2) and chains of fewer than 6
+    # sites
     for n in range(2, 17, 2):
         specs = [homogeneous(n)]
         for ratio in (0.3, 4.0):
@@ -528,6 +529,24 @@ def test_torn_route_matches_whole_svd(spec, region_len, n_rotations, monkeypatch
     every = np.arange(order.size)
     factor = real_readout(every, every, order, rotations, secular, n_sites)
     assert np.abs(factor - reference[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_imp", [1, 3])
+@pytest.mark.parametrize("n", [40, 202])
+def test_open_region_past_half_is_read_on_its_complement(n, n_imp):
+    # a pure state: the region's occupations other than 0 and 1 are its
+    # complement's, so a region past L/2 is read as the first L - l sites
+    # of the mirrored chain, its block at l = 0.9 L centred on the border
+    border = round(0.9 * n)
+    spec = place_pattern(alternating_block(0.8, border - (n_imp - 1), n_imp), n)
+    mirrored = ChainSpec(n, "open", tuple((n - bond, r) for bond, r in spec.modified_bonds))
+    for region_len in (n // 2 + 1, border, n - 4, n - 1, n):
+        side = n - region_len
+        assert half_filled_block(spec, region_len).shape == ((side + 1) // 2, side // 2)
+        if side:
+            assert measure(spec, region_len) == measure(mirrored, side)
+    # the whole chain is pure
+    assert measure(spec, n) == (0.0, 0.0)
 
 
 def test_torn_sector_matches_whole_sector():

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from acceptance_tools import perturbative_fluct_slope
+from acceptance_tools import FLUCT_SERIES_CONSTANT, perturbative_fluct_slope
 from paritylab.chains import place_pattern, single_impurity
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
-from paritylab.theory import (ENTROPY_PLATEAU, FLUCT_PLATEAU,
-                              FLUCT_SERIES_CONSTANT, dilog,
-                              effective_central_charge,
+from paritylab.theory import (dilog, effective_central_charge,
                               effective_central_charge_alt,
                               entropy_parity_slope, entropy_slope_integral,
                               fluct_parity_slope, tabulated_entropy_integral,
@@ -168,9 +166,7 @@ def test_fluct_parity_slope_values():
         fluct_parity_slope(0.51)
 
 
-def test_plateau_and_series_constants():
-    assert ENTROPY_PLATEAU == pytest.approx(math.log(2.0), abs=1e-15)
-    assert FLUCT_PLATEAU == 0.25
+def test_fluct_series_constant():
     gamma = 0.5772156649015329
     assert FLUCT_SERIES_CONSTANT == pytest.approx(
         (1.0 + gamma + math.log(2.0)) / math.pi**2, abs=1e-15)
