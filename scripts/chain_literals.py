@@ -23,7 +23,7 @@ CHAINS = [
     ("open", 42, 31, 1, "1e-2", 21),   # in the rest
     ("open", 42, 9, 1, "1e-4", 20),    # inside the region, below the ratios
     ("open", 42, 9, 1, "1e3", 20),     # of 3e4 to 1e5 where the open tear
-    ("open", 42, 9, 1, "1e4", 20),     # loses digits (ROADMAP item 2)
+    ("open", 42, 9, 1, "1e4", 20),     # loses digits (ROADMAP item 3)
     ("open", 42, 41, 1, "1e6", 40),    # the last bond, in the end block of
     ("open", 42, 41, 1, "1e-2", 40),   # a region two sites short of the end
     ("open", 40, 18, 3, "4", 20),      # a block centred on the border bond
@@ -36,10 +36,19 @@ CHAINS = [
     ("periodic", 30, 13, 3, "1e-2", 15),
 ]
 
+# (n_sites, first dot bond, ratio, region_len): open chains with two equal
+# bonds at (bond, bond + 1), the even and odd chains of `sweeps.dot_pair`
+# at 40 sites, whose dot bonds are the two bonds of the region's merge row.
+DOTS = [
+    (n_sites, bond, ratio, region_len)
+    for ratio in ("0.05", "1e-3", "1e3")
+    for n_sites, bond, region_len in ((40, 20, 20), (42, 21, 21))
+]
 
-def hamiltonian(boundary, n_sites, bond, n_imp, ratio):
+
+def hamiltonian(boundary, n_sites, bonds, ratio):
     hopping = [mp.mpf(1)] * n_sites
-    for b in range(bond, bond + 2 * n_imp, 2):
+    for b in bonds:
         hopping[b - 1] = mp.mpf(ratio)
     h = mp.zeros(n_sites, n_sites)
     for b in range(1, n_sites if boundary == "open" else n_sites + 1):
@@ -48,8 +57,8 @@ def hamiltonian(boundary, n_sites, bond, n_imp, ratio):
     return h
 
 
-def observables(boundary, n_sites, bond, n_imp, ratio, region_len):
-    energies, orbitals = mp.eigsy(hamiltonian(boundary, n_sites, bond, n_imp, ratio))
+def observables(boundary, n_sites, bonds, ratio, region_len):
+    energies, orbitals = mp.eigsy(hamiltonian(boundary, n_sites, bonds, ratio))
     occupied = sorted(range(n_sites), key=lambda k: energies[k])[:n_sites // 2]
     gap = (min(energies[k] for k in range(n_sites) if k not in occupied)
            - max(energies[k] for k in occupied))
@@ -68,17 +77,28 @@ def observables(boundary, n_sites, bond, n_imp, ratio, region_len):
     return entropy, fluctuation
 
 
+def references(boundary, n_sites, bonds, ratio, region_len):
+    """S and F at 70 digits, checked against 50 digits to 40."""
+    values = []
+    for dps in (50, 70):
+        mp.mp.dps = dps
+        values.append(observables(boundary, n_sites, bonds, ratio, region_len))
+    for low, high in zip(*values):
+        assert abs(low - high) <= mp.mpf(10) ** -40 * max(1, abs(high)), (bonds, low, high)
+    return f"     {mp.nstr(values[1][0], 40)},\n     {mp.nstr(values[1][1], 40)}),"
+
+
 def main():
-    for chain in CHAINS:
-        values = []
-        for dps in (50, 70):
-            mp.mp.dps = dps
-            values.append(observables(*chain))
-        for low, high in zip(*values):
-            assert abs(low - high) <= mp.mpf(10) ** -40 * max(1, abs(high)), (chain, low, high)
-        boundary, n_sites, bond, n_imp, ratio, region_len = chain
+    print("CHAINS = [")
+    for boundary, n_sites, bond, n_imp, ratio, region_len in CHAINS:
+        bonds = range(bond, bond + 2 * n_imp, 2)
         print(f'    ("{boundary}", {n_sites}, {bond}, {n_imp}, {ratio}, {region_len},\n'
-              f'     {mp.nstr(values[1][0], 40)},\n     {mp.nstr(values[1][1], 40)}),')
+              + references(boundary, n_sites, bonds, ratio, region_len))
+    print("]\n\nDOTS = [")
+    for n_sites, bond, ratio, region_len in DOTS:
+        print(f"    ({n_sites}, {bond}, {ratio}, {region_len},\n"
+              + references("open", n_sites, (bond, bond + 1), ratio, region_len))
+    print("]")
 
 
 if __name__ == "__main__":

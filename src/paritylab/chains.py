@@ -103,11 +103,6 @@ def place_pattern(pattern: Pattern, n_sites: int, boundary: str = "open") -> Cha
     return ChainSpec(n_sites=n_sites, boundary=boundary, modified_bonds=tuple(pattern))
 
 
-def homogeneous(n_sites: int, boundary: str = "open") -> ChainSpec:
-    """Defect-free chain."""
-    return ChainSpec(n_sites=n_sites, boundary=boundary)
-
-
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Dense single-particle Hamiltonian of a chain.
 

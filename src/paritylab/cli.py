@@ -25,7 +25,8 @@ import numpy as np
 from .chains import BOUNDARIES, PARITIES, alternating_block, place_pattern
 from .fitting import (delta_slope_at_unity, dot_crossover, extrapolate_inverse,
                       window_ratios)
-from .scattering import exterior_matching, near_zero_modes, phase_shift
+from .scattering import exterior_matching, phase_shift
+from .spectral import sublattice_singular_values
 from .sweeps import aspect_region, dot_pair, ladder_region, measure, pair_specs, size_ladder
 from .theory import (dilog, effective_central_charge,
                      effective_central_charge_alt, entropy_slope_integral,
@@ -260,11 +261,11 @@ def _check_size(n_sites, route: str | None, where: str = "") -> None:
 
 # Planners: each takes a parsed config, checks what its scenario needs across
 # keys, builds every chain it will solve and returns (header, jobs, rows).
-# jobs holds (grid-point label, sweeps.measure, (chain, region_len)): a
-# sweep's grid point is two jobs, its even chain and then its odd chain,
-# which share the point's label.  rows(results) turns the (S, F) of every
-# job, in job order, into CSV rows.  A planner raises only ConfigError and
-# never solves.
+# jobs holds (grid-point label, function, args); a sweep's jobs are
+# sweeps.measure on (chain, region_len), two per grid point, its even chain
+# and then its odd chain, which share the point's label.  rows(results) turns
+# the result of every job, in job order, into CSV rows.  A planner raises
+# only ConfigError and never solves.
 
 def _pair_jobs(label: str, route: str, place, n_sites: int, *args) -> list:
     """The jobs of one grid point: place(n_sites, *args) returns l and the
@@ -401,12 +402,13 @@ def _plan_zero_modes(c):
     ratio, lead = c["ratio"], c["lead"]
     chains = {n_imp: 2 * lead + 2 * n_imp for n_imp in c["n_imps"]}
     _check_size(max(chains.values()), None)
-    jobs = tuple((f"n_imp={n_imp} n_sites={n_sites}", near_zero_modes,
+    jobs = tuple((f"n_imp={n_imp} n_sites={n_sites}", sublattice_singular_values,
                   (place_pattern(alternating_block(ratio, lead + 1, n_imp), n_sites),))
                  for n_imp, n_sites in chains.items())
+    # the in-gap pair is -+sigma_min, so its splitting is 2 sigma_min
     return (["scenario", "n_imp", "n_sites", "ratio", "splitting"], jobs,
-            lambda modes: [("zero-modes", n_imp, n_sites, ratio, m.splitting)
-                           for (n_imp, n_sites), m in zip(chains.items(), modes)])
+            lambda sigmas: [("zero-modes", n_imp, n_sites, ratio, 2.0 * sigma[0])
+                            for (n_imp, n_sites), sigma in zip(chains.items(), sigmas)])
 
 
 _CHECK_HEADER = ("check", "value", "reference", "residual", "tolerance", "status")
@@ -414,10 +416,10 @@ _CHECK_HEADER = ("check", "value", "reference", "residual", "tolerance", "status
 
 def _plan_theory_check(c):
     jobs = (("theory-check", theory_check_rows, ()),)
-    return list(_CHECK_HEADER), jobs, lambda results: results[0][1]
+    return list(_CHECK_HEADER), jobs, lambda results: results[0]
 
 
-def theory_check_rows() -> tuple[list[str], list[tuple]]:
+def theory_check_rows() -> list[tuple]:
     """Closed-form identity residuals, their tolerances and an ok/fail status."""
     checks = []
 
@@ -452,7 +454,7 @@ def theory_check_rows() -> tuple[list[str], list[tuple]]:
         residual = abs(value - reference)
         status = "ok" if residual <= tol else "fail"
         rows.append((name, float(value), float(reference), residual, tol, status))
-    return list(_CHECK_HEADER), rows
+    return rows
 
 
 def _check_exit_code(rows: list[tuple]) -> int:
@@ -522,7 +524,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
-    _, rows = theory_check_rows()
+    rows = theory_check_rows()
     width = max(len(r[0]) for r in rows)
     for name, value, reference, residual, tol, status in rows:
         print(f"{name:<{width}}  value={value: .12e}  ref={reference: .12e}  "

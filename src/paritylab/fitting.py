@@ -6,7 +6,9 @@ splits the O(1) constant by subsystem parity while leaving the slope
 common.  The fits here therefore share one slope between the two parity
 branches and give each branch its own constant and decaying corrections.
 All least-squares problems go through an orthogonal factorization of the
-design matrix; normal equations are never formed.
+design matrix; normal equations are never formed.  `lab` takes the 1/L
+extrapolation (`extrapolate_inverse`), the slope of the splitting near
+ratio 1 (`delta_slope_at_unity`) and a dot's healing curve (`dot_crossover`).
 """
 
 from __future__ import annotations
@@ -179,8 +181,7 @@ def fit_bulk_entropy(samples: Sequence[ScalingSample]) -> BulkScalingResult:
     """Fit ring entropies of a region bounded by the defect on one side.
 
     The slope times 6 estimates 1 + c_eff (one plain border, one defect
-    border); the shared constant feeds `boundary_part`.  Parity enters
-    only through the decaying 1/ell corrections.
+    border).  Parity enters only through the decaying 1/ell corrections.
     """
     return _fit(samples, "periodic", "entropy")
 
@@ -188,26 +189,6 @@ def fit_bulk_entropy(samples: Sequence[ScalingSample]) -> BulkScalingResult:
 def fit_bulk_fluct(samples: Sequence[ScalingSample]) -> BulkScalingResult:
     """Ring fit for fluctuations; 2 pi^2 times the slope estimates 1 + s^2."""
     return _fit(samples, "periodic", "fluctuation")
-
-
-def boundary_part(parity: ParityScalingResult, bulk: BulkScalingResult,
-                  clean_bulk: BulkScalingResult | None = None) -> tuple[float, float]:
-    """Boundary contribution to the parity constants.
-
-    The ring fit constant is the average of the defect cut and the clean
-    cut, so the defect's own share is ``bulk.const - clean.const / 2``.
-    Removing it leaves boundary remainders that swap parity under
-    ratio -> 1/ratio.  Without ``clean_bulk`` the clean half (a
-    ratio-independent offset) is left in, which drops out of any
-    even/odd or ratio <-> 1/ratio comparison.
-
-    Returns
-    -------
-    (float, float)
-        Boundary constants of the even and odd branches.
-    """
-    offset = bulk.const - (clean_bulk.const / 2.0 if clean_bulk is not None else 0.0)
-    return parity.const_even - offset, parity.const_odd - offset
 
 
 def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:

@@ -188,7 +188,7 @@ def fock_entropy(m: np.ndarray) -> float:
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"Schmidt weights sum to {total:.12g}, not 1")
     p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)))
+    return 0.0 - float(np.sum(p * np.log(p)))  # +0.0 on a pure region
 
 
 def fock_fluctuation(state: FockGroundState, region: Region) -> float:

@@ -90,12 +90,12 @@ def _checked(nu: np.ndarray) -> np.ndarray:
 def entanglement_entropy(occupations: np.ndarray) -> float:
     """Von Neumann entropy of a free-fermion region from its mode occupations.
 
-    A mode at exactly 0 or 1 adds exactly 0; any other value outside
-    [0, 1], or NaN, makes the entropy NaN.
+    A mode at exactly 0 or 1 adds exactly 0, so a pure region has S = +0.0;
+    any other value outside [0, 1], or NaN, makes the entropy NaN.
     """
     nu = np.asarray(occupations)
     mixed = nu[(nu != 0.0) & (nu != 1.0)]
-    return float(-np.sum(mixed * np.log(mixed) + (1.0 - mixed) * np.log(1.0 - mixed)))
+    return 0.0 - float(np.sum(mixed * np.log(mixed) + (1.0 - mixed) * np.log(1.0 - mixed)))
 
 
 def charge_fluctuation(occupations: np.ndarray) -> float:

@@ -7,10 +7,8 @@ plane-wave amplitudes on the two sides are related by a rotation
 (`exterior_matching`) whose angle is the scattering phase shift
 (`phase_shift`); its sign flips with the sublattice the block is anchored
 on, which is what turns a microscopic one-site shift of the defect into
-the macroscopic even/odd splitting of subsystem observables.  A gapped
-alternating chain binds one edge mode on each side of the block instead;
-`near_zero_modes` returns their pair of levels, split by tunnelling
-through the block.
+the macroscopic even/odd splitting of subsystem observables.  Everything
+here is closed form; nothing is solved.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .chains import PARITIES, ChainSpec
-from .spectral import sublattice_singular_values
+from .chains import PARITIES
 from .theory import transmission_coefficient
 
 
@@ -87,25 +84,3 @@ def exterior_matching(strength: float, anchor_parity: str = "even") -> np.ndarra
     c, s = math.cos(data.shift), math.sin(data.shift)
     return np.array([[c, s], [-s, c]])
 
-
-@dataclasses.dataclass(frozen=True)
-class NearZeroModes:
-    """The two single-particle levels closest to zero energy, ascending."""
-
-    energies: tuple[float, float]
-
-    @property
-    def splitting(self) -> float:
-        return self.energies[1] - self.energies[0]
-
-
-def near_zero_modes(spec: ChainSpec) -> NearZeroModes:
-    """The in-gap pair of an open chain of even length with a defect block.
-
-    The two levels nearest zero energy are -+sigma_min of the sublattice
-    block (`sublattice_singular_values`); for a gapped alternating chain
-    these are the hybridized edge modes, and their splitting measures the
-    tunnelling through the block.
-    """
-    sigma_min = float(sublattice_singular_values(spec)[0])
-    return NearZeroModes(energies=(-sigma_min, sigma_min))

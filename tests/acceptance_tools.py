@@ -1,15 +1,16 @@
 """Fits, perturbation theory and a series constant that only the
-acceptance tests use: the clean decay exponent of c02, the distance
-between crossover curves of c09, the first-order lattice slope of c10 and
-the fluctuation constant of c11.  Their own tests are in test_fitting.py
-and test_theory.py."""
+acceptance tests use: the clean decay exponent of c02, the boundary part
+of the parity constants of c03, the distance between crossover curves of
+c09, the first-order lattice slope of c10 and the fluctuation constant of
+c11.  Their own tests are in test_fitting.py and test_theory.py."""
 
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
-from paritylab.fitting import CrossoverCurve, fit_line
+from paritylab.fitting import (BulkScalingResult, CrossoverCurve, ParityScalingResult,
+                               fit_line)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -25,6 +26,26 @@ def power_law_exponent(x: Sequence[float], y: Sequence[float]) -> float:
     ly = np.log(np.abs(np.asarray(y, dtype=float)))
     _, slope = fit_line(lx, ly)
     return slope
+
+
+def boundary_part(parity: ParityScalingResult, bulk: BulkScalingResult,
+                  clean_bulk: BulkScalingResult | None = None) -> tuple[float, float]:
+    """Boundary contribution to the parity constants.
+
+    The ring fit constant is the average of the defect cut and the clean
+    cut, so the defect's own share is ``bulk.const - clean.const / 2``.
+    Removing it leaves boundary remainders that swap parity under
+    ratio -> 1/ratio.  Without ``clean_bulk`` the clean half (a
+    ratio-independent offset) is left in, which drops out of any
+    even/odd or ratio <-> 1/ratio comparison.
+
+    Returns
+    -------
+    (float, float)
+        Boundary constants of the even and odd branches.
+    """
+    offset = bulk.const - (clean_bulk.const / 2.0 if clean_bulk is not None else 0.0)
+    return parity.const_even - offset, parity.const_odd - offset
 
 
 def curve_sup_distance(a: CrossoverCurve, b: CrossoverCurve) -> float:

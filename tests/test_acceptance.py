@@ -11,19 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from acceptance_tools import (FLUCT_SERIES_CONSTANT, curve_sup_distance,
+from acceptance_tools import (FLUCT_SERIES_CONSTANT, boundary_part, curve_sup_distance,
                               perturbative_fluct_slope, power_law_exponent)
 from paritylab.chains import (alternating_block, dot_impurity, place_pattern,
                               single_impurity)
-from paritylab.fitting import (ScalingSample, boundary_part,
-                               delta_slope_at_unity, dot_crossover,
+from paritylab.fitting import (ScalingSample, delta_slope_at_unity, dot_crossover,
                                extrapolate_inverse, fit_boundary_entropy,
                                fit_boundary_fluct, fit_bulk_entropy,
                                fit_bulk_fluct)
 from paritylab.fock import fock_region_observables
 from paritylab.observables import Region, region_observables
-from paritylab.scattering import near_zero_modes
-from paritylab.spectral import correlation_matrix, diagonalize, half_filling
+from paritylab.spectral import (correlation_matrix, diagonalize, half_filling,
+                                sublattice_singular_values)
 from paritylab.sweeps import (aspect_region, dot_pair, ladder_region, measure,
                               pair_specs, size_ladder)
 from paritylab.theory import (dilog, effective_central_charge,
@@ -363,7 +362,7 @@ def test_c12_zero_mode_scaling():
     for n_imp in (3, 5, 7):
         spec = place_pattern(alternating_block(lam, lead + 1, n_imp),
                              2 * lead + 2 * n_imp)
-        splittings[n_imp] = near_zero_modes(spec).splitting
+        splittings[n_imp] = 2.0 * sublattice_singular_values(spec)[0]
     r53 = splittings[5] / splittings[3]
     r75 = splittings[7] / splittings[5]
     print(f"c12: splitting ratios {r53:.4f}, {r75:.4f} vs ratio^2 {lam**2}")

@@ -5,14 +5,17 @@ block at 50 and 70 digits (scripts/chain_literals.py): open chains and
 bond-centred rings with one bond or a 3-bond block at the region's border,
 inside the region and in the rest, and open chains whose last bond is in
 the two-site complement of a region two sites short of the end, which is
-read in its place, torn at its border, at ratios from 1e-8 to 1e8.  The open tear loses digits at ratios 3e4 to 1e5 off the region's
-border (ROADMAP item 2), so the set holds none there yet.
+read in its place, torn at its border, at ratios from 1e-8 to 1e8; and the
+even and odd chains of a dot (`sweeps.dot_pair`), whose two bonds are
+those of the region's merge row.  The open tear loses digits at ratios 3e4
+to 1e5 off the region's border (ROADMAP item 3), so the set holds none
+there yet.
 """
 
 import pytest
 
-from paritylab.chains import alternating_block, place_pattern
-from paritylab.sweeps import measure
+from paritylab.chains import alternating_block, dot_impurity, place_pattern
+from paritylab.sweeps import dot_pair, measure
 
 # (boundary, n_sites, first modified bond, n_imp, ratio, region_len, S, F):
 # n_imp equal bonds on every other bond from the first
@@ -70,6 +73,29 @@ CHAINS = [
      0.2834146127275598587278648054218555152884),
 ]
 
+# (n_sites, first dot bond, ratio, region_len, S, F) of open chains with two
+# equal bonds at (bond, bond + 1): the two chains of dot_pair(ratio, 40)
+DOTS = [
+    (40, 20, 0.05, 20,
+     0.06429084834147627123063728754753872261488,
+     0.01019786386575489042304340281857916264678),
+    (42, 21, 0.05, 21,
+     0.6935533810915002715578218039500624238706,
+     0.2500338533881637874063820888651437565647),
+    (40, 20, 1e-3, 20,
+     0.00006925360956823951164017032790118047033268,
+     0.000004981191768058621096830703019629120645536),
+    (42, 21, 1e-3, 21,
+     0.693147180758696600325981122029660986134,
+     0.2500000000072666180228357014684662942618),
+    (40, 20, 1e3, 20,
+     1.209546099554442516851290111072013083189,
+     0.3784625028018729030845009173529240248687),
+    (42, 21, 1e3, 21,
+     1.215725790366224067668171892222035070206,
+     0.3811566972329098172635584112676739391086),
+]
+
 
 @pytest.mark.parametrize("boundary, n_sites, bond, n_imp, ratio, region_len, entropy, fluct",
                          CHAINS, ids=[f"{b}{n}-bond{bond}x{k}-{r:g}-l{ell}"
@@ -77,6 +103,16 @@ CHAINS = [
 def test_measure_against_40_digit_references(boundary, n_sites, bond, n_imp, ratio,
                                              region_len, entropy, fluct):
     spec = place_pattern(alternating_block(ratio, bond, n_imp), n_sites, boundary)
+    s, f = measure(spec, region_len)
+    assert abs(s - entropy) <= 1e-12
+    assert abs(f - fluct) <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites, bond, ratio, region_len, entropy, fluct", DOTS,
+                         ids=[f"dot{n}-bond{bond}-{r:g}-l{ell}" for n, bond, r, ell, _, _ in DOTS])
+def test_dot_against_40_digit_references(n_sites, bond, ratio, region_len, entropy, fluct):
+    spec = place_pattern(dot_impurity(ratio, bond), n_sites)
+    assert spec in dot_pair(ratio, 40)
     s, f = measure(spec, region_len)
     assert abs(s - entropy) <= 1e-12
     assert abs(f - fluct) <= 1e-12

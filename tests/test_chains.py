@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
-                              dot_impurity, homogeneous, place_pattern,
-                              single_impurity)
+                              dot_impurity, place_pattern, single_impurity)
 
 
 def test_spec_validation():
@@ -25,6 +24,8 @@ def test_spec_validation():
 
 
 def test_bond_counts():
+    # an open chain with no defect is the default
+    assert ChainSpec(8) == ChainSpec(8, "open", ())
     assert ChainSpec(8, "open", ()).n_bonds == 7
     assert ChainSpec(8, "periodic", ()).n_bonds == 8
     # wrap bond is addressable on a ring
@@ -34,6 +35,7 @@ def test_bond_counts():
 def test_bond_ratios_layout():
     spec = ChainSpec(6, "open", ((2, 0.5), (4, 2.0)))
     assert np.allclose(spec.bond_ratios(), [1.0, 0.5, 1.0, 2.0, 1.0])
+    assert np.array_equal(ChainSpec(6).bond_ratios(), np.ones(5))
 
 
 def test_hamiltonian_open_explicit():
@@ -87,8 +89,3 @@ def test_place_pattern():
     with pytest.raises(ValueError):
         place_pattern(alternating_block(0.4, 8, 2), 10)  # bond 10 off the chain
 
-
-def test_homogeneous():
-    spec = homogeneous(6)
-    assert spec.modified_bonds == ()
-    assert np.allclose(spec.bond_ratios(), 1.0)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import paritylab.cli as cli
-from paritylab import scattering, sweeps
+from paritylab import sweeps
 from paritylab.spectral import DegenerateFermiLevelError
 
 
@@ -51,9 +51,9 @@ def test_quadrature_off_by_1e9_fails_the_theory_check(monkeypatch, capsys):
 
 
 def test_failed_theory_check_exits_3(tmp_path, monkeypatch, capsys):
-    header, rows = cli.theory_check_rows()
+    rows = cli.theory_check_rows()
     failing = rows[:1] + [rows[1][:-1] + ("fail",)]
-    monkeypatch.setattr(cli, "theory_check_rows", lambda: (header, failing))
+    monkeypatch.setattr(cli, "theory_check_rows", lambda: failing)
     assert cli.main(["theory-check"]) == 3
     captured = capsys.readouterr()
     assert "all identity checks passed" not in captured.out
@@ -82,7 +82,7 @@ def test_config_errors(tmp_path, capsys, monkeypatch):
         raise AssertionError("a config error reached a solve")
 
     monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
-    monkeypatch.setattr(scattering, "sublattice_singular_values", no_solve)
+    monkeypatch.setattr(cli, "sublattice_singular_values", no_solve)
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")
@@ -337,7 +337,7 @@ def test_planners_are_total(monkeypatch, config):
         raise AssertionError("a planner reached a solve")
 
     monkeypatch.setattr(sweeps, "half_filled_block", no_solve)
-    monkeypatch.setattr(scattering, "sublattice_singular_values", no_solve)
+    monkeypatch.setattr(cli, "sublattice_singular_values", no_solve)
     path = _write_config("drawn.json", **config)
     try:
         parsed = cli._load_config(path)
@@ -547,7 +547,7 @@ def test_numerical_failure_names_the_grid_point(tmp_path, monkeypatch, capsys):
             with monkeypatch.context() as patch:
                 # every sweep scenario here, open or ring, solves at half filling
                 if config["scenario"] == "zero-modes":
-                    patch.setattr(scattering, "sublattice_singular_values", fail)
+                    patch.setattr(cli, "sublattice_singular_values", fail)
                 elif isinstance(failure, DegenerateFermiLevelError):
                     patch.setattr(sweeps, "half_filled_block", fail)
                 else:

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from acceptance_tools import curve_sup_distance, power_law_exponent
+from acceptance_tools import boundary_part, curve_sup_distance, power_law_exponent
 from paritylab.fitting import (BulkScalingResult, FitRankError,
                                ParityScalingResult, ScalingSample,
-                               boundary_part, delta_slope_at_unity,
+                               delta_slope_at_unity,
                                dot_crossover, extrapolate_inverse,
                                fit_boundary_entropy, fit_boundary_fluct,
                                fit_bulk_entropy, fit_bulk_fluct, fit_line,

@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 
@@ -6,8 +7,8 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from paritylab.chains import (alternating_block, build_hamiltonian, dot_impurity,
-                              homogeneous, place_pattern, single_impurity)
+from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
+                              dot_impurity, place_pattern, single_impurity)
 from paritylab.fock import (MAX_SITES, amplitude_matrix, fock_entropy, fock_fluctuation,
                             fock_region_observables, ground_state_fock,
                             sector_hamiltonian)
@@ -64,7 +65,7 @@ def test_sparse_sector_matches_loop_reference():
     specs = [_random_spec(rng) for _ in range(6)]
     specs += [place_pattern(dot_impurity(0.6, 3), 6, boundary="periodic"),
               place_pattern(single_impurity(1.4, 7), 7, boundary="periodic"),
-              homogeneous(2, boundary="periodic")]
+              ChainSpec(2, boundary="periodic")]
     for spec in specs:
         for n_particles in range(spec.n_sites + 1):
             basis, h_ref = _loop_sector_hamiltonian(spec, n_particles)
@@ -206,10 +207,10 @@ def test_matches_half_filled_route():
     # shorter of the two: a 14-site region would need a 3432 x 3432 rho_A
     specs = []
     for n in range(6, 15, 2):
-        specs += [homogeneous(n), place_pattern(single_impurity(0.6, 3), n),
+        specs += [ChainSpec(n), place_pattern(single_impurity(0.6, 3), n),
                   place_pattern(alternating_block(0.5, n // 2 - 2, 3), n)]
     for n in (6, 10, 14):
-        specs += [homogeneous(n, "periodic"),
+        specs += [ChainSpec(n, "periodic"),
                   place_pattern(single_impurity(0.6, 2), n, "periodic"),
                   place_pattern(single_impurity(1.7, n), n, "periodic"),
                   place_pattern(alternating_block(0.5, n // 2 - 2, 3), n, "periodic")]
@@ -241,14 +242,14 @@ def test_away_from_half_filling():
 
 
 def test_degenerate_sector_raises():
-    ring = homogeneous(8, boundary="periodic")
+    ring = ChainSpec(8, boundary="periodic")
     with pytest.raises(DegenerateFermiLevelError):
         ground_state_fock(ring, 4)
     # a non-degenerate filling of the same ring is fine
     assert ground_state_fock(ring, 1).gap > 0
     # L = 0 mod 4 rings keep a pair of zero modes while the odd and even
     # bonds have equal hopping products, as a clean ring and a dot do
-    for spec in (homogeneous(12, boundary="periodic"),
+    for spec in (ChainSpec(12, boundary="periodic"),
                  place_pattern(dot_impurity(0.5, 6), 12, boundary="periodic")):
         with pytest.raises(DegenerateFermiLevelError):
             ground_state_fock(spec, 6)
@@ -257,7 +258,7 @@ def test_degenerate_sector_raises():
 def test_smallest_sectors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for spec in (homogeneous(2), place_pattern(single_impurity(0.5, 1), 3)):
+        for spec in (ChainSpec(2), place_pattern(single_impurity(0.5, 1), 3)):
             energies, _ = diagonalize(spec)
             state = ground_state_fock(spec, 1)
             assert state.basis.size == spec.n_sites
@@ -289,8 +290,8 @@ def test_solver_failures_name_the_chain(monkeypatch):
 
 def test_size_and_filling_guards():
     with pytest.raises(ValueError):
-        ground_state_fock(homogeneous(MAX_SITES + 2), 4)
-    spec = homogeneous(6)
+        ground_state_fock(ChainSpec(MAX_SITES + 2), 4)
+    spec = ChainSpec(6)
     with pytest.raises(ValueError):
         ground_state_fock(spec, -1)
     with pytest.raises(ValueError):
@@ -304,3 +305,13 @@ def test_full_and_empty_sectors_are_product_states():
         m = amplitude_matrix(state, Region(2, 3))
         assert fock_entropy(m) == pytest.approx(0.0, abs=1e-14)
         assert fock_fluctuation(state, Region(2, 3)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_pure_regions_have_positive_zero_entropy():
+    # a region with no mixed mode has S = +0.0, which the CSV writes as 0, not -0
+    s, _ = measure(ChainSpec(1000), 1000)
+    assert math.copysign(1.0, s) == 1.0
+    for n_particles in (0, 6):
+        state = ground_state_fock(ChainSpec(6), n_particles)
+        s = fock_entropy(amplitude_matrix(state, Region(1, 6)))
+        assert math.copysign(1.0, s) == 1.0

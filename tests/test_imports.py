@@ -7,8 +7,12 @@ its extension file alone.  Nor does any import the process pool
 `lab run` on more than one worker loads.  The theory predictions and `lab theory-check`
 take their quadratures on numpy alone, and load none of the three nor
 scipy.integrate.
+
+The last test reads the sources instead: every public name of the
+package must be used by the package itself or by the benchmark.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -18,6 +22,7 @@ import textwrap
 import paritylab
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(paritylab.__file__)))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the capsule signature of each routine spectral calls, with no address
 _CAPSULES = """
@@ -104,3 +109,44 @@ def test_no_extension_file_falls_back_to_the_package_import():
     """, _CAPSULES, report)
     assert from_file[0] is False and fallback[0] is True
     assert fallback[1] == from_file[1]
+
+
+def _defined(node) -> set:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _referenced(node) -> set:
+    """Every name, attribute and imported name a statement uses."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            names.update(alias.name for alias in child.names)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # public top-level names of the package, and every name the package and
+    # the benchmark (its own tests aside) use outside the name's definition
+    public, used = set(), set()
+    for folder in ("src/paritylab", "perfbench"):
+        directory = os.path.join(_ROOT, folder)
+        for name in sorted(os.listdir(directory)):
+            if not name.endswith(".py") or name.startswith("test_"):
+                continue
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                module = ast.parse(fh.read())
+            for statement in module.body:
+                defined = _defined(statement)
+                if folder == "src/paritylab":
+                    public |= {d for d in defined if not d.startswith("_")}
+                used |= _referenced(statement) - defined
+    assert sorted(public - used) == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paritylab.chains import ChainSpec, homogeneous
+from paritylab.chains import ChainSpec
 from paritylab.observables import (Region, charge_fluctuation, entanglement_entropy,
                                    region_observables, sublattice_occupations)
 from paritylab.spectral import correlation_matrix, diagonalize, half_filling
@@ -26,7 +26,7 @@ def test_region_validation():
 
 def test_single_site_entropy_is_binary():
     # a one-site region has S = H(G_ii)
-    g = _ground_state_g(homogeneous(8))
+    g = _ground_state_g(ChainSpec(8))
     for first in (1, 3, 8):
         obs = region_observables(g, Region(first, 1))
         p = g[first - 1, first - 1]
@@ -103,12 +103,12 @@ def test_fluctuation_dual_routes_agree():
 
 def test_full_chain_region_is_sharp():
     # the whole chain holds exactly n/2 particles: no fluctuations, no entropy
-    g = _ground_state_g(homogeneous(8))
+    g = _ground_state_g(ChainSpec(8))
     obs = region_observables(g, Region(1, 8))
     assert abs(obs.entropy) < 1e-13
     assert abs(obs.fluctuation) < 1e-13
     # the half-filled route's occupations are exactly 0 and 1 there
-    assert measure(homogeneous(1000), 1000) == (0.0, 0.0)
+    assert measure(ChainSpec(1000), 1000) == (0.0, 0.0)
 
 
 def test_complement_entropy_equal():
@@ -119,6 +119,6 @@ def test_complement_entropy_equal():
 
 
 def test_region_must_fit():
-    g = _ground_state_g(homogeneous(8))
+    g = _ground_state_g(ChainSpec(8))
     with pytest.raises(ValueError):
         region_observables(g, Region(5, 6))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from paritylab.chains import alternating_block, build_hamiltonian, homogeneous, place_pattern
-from paritylab.scattering import (effective_strength, exterior_matching, near_zero_modes,
-                                  phase_shift)
+from paritylab.chains import ChainSpec, alternating_block, build_hamiltonian, place_pattern
+from paritylab.scattering import effective_strength, exterior_matching, phase_shift
+from paritylab.spectral import sublattice_singular_values
 
 
 def test_effective_strength():
@@ -46,14 +46,14 @@ def test_exterior_matching_entries():
 
 
 def test_near_zero_modes_sublattice_polarized():
+    # the in-gap pair of the block's edge modes is -+sigma_min of B
     spec = place_pattern(alternating_block(0.8, 31, 3), 66)
-    zm = near_zero_modes(spec)
-    assert zm.energies[0] == pytest.approx(-zm.energies[1], abs=1e-12)
-    assert zm.splitting == pytest.approx(5.660777e-2, rel=1e-5)
+    sigma_min = sublattice_singular_values(spec)[0]
+    assert 2.0 * sigma_min == pytest.approx(5.660777e-2, rel=1e-5)
     # the pair is the two levels nearest zero of the dense Hamiltonian
     dense = np.linalg.eigvalsh(build_hamiltonian(spec))
     nearest = np.sort(dense[np.argsort(np.abs(dense))[:2]])
-    assert np.allclose(zm.energies, nearest, rtol=0, atol=1e-12)
+    assert np.allclose((-sigma_min, sigma_min), nearest, rtol=0, atol=1e-12)
 
 
 def test_near_zero_splitting_scales_with_block_size():
@@ -61,7 +61,7 @@ def test_near_zero_splitting_scales_with_block_size():
     splittings = {}
     for n_imp in (3, 5, 7):
         spec = place_pattern(alternating_block(0.8, 31, n_imp), 60 + 2 * n_imp)
-        splittings[n_imp] = near_zero_modes(spec).splitting
+        splittings[n_imp] = 2.0 * sublattice_singular_values(spec)[0]
     assert splittings[5] / splittings[3] == pytest.approx(0.64, rel=0.05)
     assert splittings[7] / splittings[5] == pytest.approx(0.64, rel=0.05)
 
@@ -75,10 +75,11 @@ def test_near_zero_splitting_to_full_relative_accuracy(n_imp, splitting):
     # ratio 0.5 and leads of 30 sites, as the zero-modes scenario builds them:
     # the splitting lies far below the bandwidth's rounding, ~1e-16
     spec = place_pattern(alternating_block(0.5, 31, n_imp), 60 + 2 * n_imp)
-    assert near_zero_modes(spec).splitting == pytest.approx(splitting, rel=1e-12, abs=0)
+    sigma_min = sublattice_singular_values(spec)[0]
+    assert 2.0 * sigma_min == pytest.approx(splitting, rel=1e-12, abs=0)
 
 
 def test_near_zero_modes_need_an_even_open_chain():
-    for spec in (homogeneous(66, "periodic"), homogeneous(67)):
+    for spec in (ChainSpec(66, "periodic"), ChainSpec(67)):
         with pytest.raises(ValueError):
-            near_zero_modes(spec)
+            sublattice_singular_values(spec)

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from paritylab import spectral
 from paritylab.chains import (ChainSpec, alternating_block, build_hamiltonian,
-                              dot_impurity, homogeneous, place_pattern,
-                              single_impurity)
+                              dot_impurity, place_pattern, single_impurity)
 from paritylab.observables import Region, region_observables
 from paritylab.spectral import (DegenerateFermiLevelError, correlation_matrix,
                                 diagonalize, half_filled_block, half_filling,
@@ -21,14 +20,14 @@ from paritylab.sweeps import measure, pair_specs
 def test_open_chain_spectrum_analytic():
     # standing waves: E_k = -2 J cos(pi k / (n+1))
     n = 9
-    energies, _ = diagonalize(homogeneous(n))
+    energies, _ = diagonalize(ChainSpec(n))
     expected = sorted(-2.0 * math.cos(math.pi * k / (n + 1)) for k in range(1, n + 1))
     assert np.allclose(energies, expected, atol=1e-12)
 
 
 def test_ring_spectrum_analytic():
     for n in (3, 12):
-        energies, _ = diagonalize(homogeneous(n, "periodic"))
+        energies, _ = diagonalize(ChainSpec(n, "periodic"))
         expected = sorted(-2.0 * math.cos(2.0 * math.pi * m / n) for m in range(n))
         assert np.allclose(energies, expected, atol=1e-12)
 
@@ -49,7 +48,7 @@ def test_correlation_matrix_is_projector():
 
 def test_correlation_matrix_rejects_degenerate_fermi_level():
     # clean 8-ring: doubly degenerate zero level right at half filling
-    eigenpairs = diagonalize(homogeneous(8, "periodic"))
+    eigenpairs = diagonalize(ChainSpec(8, "periodic"))
     with pytest.raises(DegenerateFermiLevelError):
         correlation_matrix(eigenpairs, 4)
     correlation_matrix(eigenpairs, 3)
@@ -236,7 +235,7 @@ def test_open_chain_every_region_on_short_chains():
     # L - 1, L), two-site sides (l = 2, L - 2) and chains of fewer than 6
     # sites
     for n in range(2, 17, 2):
-        specs = [homogeneous(n)]
+        specs = [ChainSpec(n)]
         for ratio in (0.3, 4.0):
             for bond in range(1, n):
                 specs.append(place_pattern(single_impurity(ratio, bond), n))
@@ -294,7 +293,7 @@ def test_open_chain_every_region_matches_dense(spec):
 @given(_chains("periodic"))
 # the clean sector's two halves have tied eigenvalues, which the merge
 # deflates by rotation
-@example(homogeneous(202, "periodic"))
+@example(ChainSpec(202, "periodic"))
 # a strong bond binds a state at the tear for l <= 3, which later tears
 # leave with a vanishing merge component
 @example(place_pattern(single_impurity(4.0, 2), 202, "periodic"))
@@ -351,17 +350,17 @@ def _lapack_fails(*pointers):
 
 
 @pytest.mark.parametrize("spec, solve, routine", [
-    pytest.param(homogeneous(14), diagonalize, "eigh", id="open"),
-    pytest.param(homogeneous(14), lambda spec: half_filled_block(spec, 7), "lasd6",
+    pytest.param(ChainSpec(14), diagonalize, "eigh", id="open"),
+    pytest.param(ChainSpec(14), lambda spec: half_filled_block(spec, 7), "lasd6",
                  id="open-half-filled"),
     # a clean chain's end block takes the closed form; this one's first bond
     # from the far end has a defect, so its `_segment` reaches dlasdq
     pytest.param(ChainSpec(14, "open", ((13, 0.5),)), lambda spec: half_filled_block(spec, 13),
                  "lasdq", id="open-half-filled-end"),
-    pytest.param(homogeneous(14), sublattice_singular_values, "lasdq",
+    pytest.param(ChainSpec(14), sublattice_singular_values, "lasdq",
                  id="sublattice-singular-values"),
-    pytest.param(homogeneous(14, "periodic"), diagonalize, "eigh", id="periodic"),
-    pytest.param(homogeneous(14, "periodic"), lambda spec: half_filled_block(spec, 7),
+    pytest.param(ChainSpec(14, "periodic"), diagonalize, "eigh", id="periodic"),
+    pytest.param(ChainSpec(14, "periodic"), lambda spec: half_filled_block(spec, 7),
                  "stevd", id="periodic-half-filled"),
     # no mirror axis: the dense route
     pytest.param(ChainSpec(14, "periodic", ((2, 0.5), (5, 0.7))), diagonalize, "eigh",
@@ -408,7 +407,7 @@ def test_torn_route_checks_merged_vector_norms(monkeypatch):
 
         monkeypatch.setattr(spectral, "_dlasd6", dlasd6_drifts)
         with pytest.raises(np.linalg.LinAlgError, match="14x14 chain.*norm is off 1"):
-            half_filled_block(homogeneous(14), region_len)
+            half_filled_block(ChainSpec(14), region_len)
 
 
 def _random_segment(rng):
@@ -616,7 +615,7 @@ def test_ring_merge_with_every_root_deflated(monkeypatch, capfd):
     pytest.param(place_pattern(single_impurity(0.6, 4), 14, "periodic"), True, id="single"),
     pytest.param(place_pattern(single_impurity(2.5, 14), 14, "periodic"), True,
                  id="single-on-wrap-bond"),
-    pytest.param(homogeneous(14, "periodic"), True, id="clean"),
+    pytest.param(ChainSpec(14, "periodic"), True, id="clean"),
     pytest.param(place_pattern(alternating_block(0.3, 4, 3), 14, "periodic"), True,
                  id="centred-3-block"),
     # two opposite dots: an axis through two sites and one through two bonds
@@ -654,11 +653,11 @@ def test_half_filled_ring_rejects_degenerate_fermi_level(n, monkeypatch):
     # clean rings of 0 mod 4 sites have a zero level in each mirror sector
     monkeypatch.setattr(spectral, "diagonalize", None)
     with pytest.raises(DegenerateFermiLevelError, match=f"filling {n // 2} of {n}"):
-        half_filled_block(homogeneous(n, "periodic"), 2)
+        half_filled_block(ChainSpec(n, "periodic"), 2)
 
 
 def test_correlation_matrix_bounds():
-    eigenpairs = diagonalize(homogeneous(6))
+    eigenpairs = diagonalize(ChainSpec(6))
     assert not correlation_matrix(eigenpairs, 0).any()
     assert np.allclose(correlation_matrix(eigenpairs, 6), np.eye(6), atol=1e-13)
     with pytest.raises(ValueError):
@@ -668,6 +667,6 @@ def test_correlation_matrix_bounds():
 
 
 def test_half_filling():
-    assert half_filling(homogeneous(10)) == 5
+    assert half_filling(ChainSpec(10)) == 5
     with pytest.raises(ValueError):
-        half_filling(homogeneous(7))
+        half_filling(ChainSpec(7))
